@@ -14,7 +14,7 @@
 //	dsre-bench -cache .dsre-cache  # reuse cached results across runs
 //	dsre-bench -progress       # per-simulation progress lines on stderr
 //	dsre-bench -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
-//	dsre-bench -pprof localhost:6060   # live net/http/pprof listener
+//	dsre-bench -status localhost:6060  # /metrics, /progress, live /debug/pprof/
 //
 // Experiments run through the sweep engine (internal/sweep): the grid
 // points of each experiment execute on a bounded worker pool, one program
@@ -27,8 +27,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -42,6 +40,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/status"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 )
 
 // artifactSchema identifies the BENCH_<id>.json wire format.
@@ -75,7 +74,6 @@ func main() {
 	tolerance := flag.Float64("tolerance", 0.05, "relative IPC/speedup change -baseline accepts before exiting 3")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	statusAddr := flag.String("status", "", "serve /metrics, /healthz, /progress and /debug/pprof on this address (empty disables)")
 	eventsPath := flag.String("events", "", "write a dsre-events/v2 JSONL lifecycle log to this path (empty disables)")
 	flag.Parse()
@@ -96,14 +94,6 @@ func main() {
 		}
 	}()
 
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "dsre-bench: pprof listener: %v\n", err)
-			}
-		}()
-		fmt.Printf("pprof listening on http://%s/debug/pprof/\n", *pprofAddr)
-	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -134,9 +124,19 @@ func main() {
 		}()
 	}
 
-	o := experiments.Opts{Quick: *quick, Jobs: *jobs, CacheDir: *cache, Ctx: ctx}
+	// One engine across every experiment so workload builds and golden-model
+	// runs memoize across experiment boundaries, not just within one.
+	engOpts := sweep.Options{Workers: *jobs}
+	if *cache != "" {
+		st, err := sweep.OpenStore(*cache)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dsre-bench: %v\n", err)
+			os.Exit(1)
+		}
+		engOpts.Store = st
+	}
 	if *progress {
-		o.Progress = os.Stderr
+		engOpts.Progress = sweep.NewReporter(os.Stderr, *jobs)
 	}
 
 	// Fleet observability (opt-in): one observer spans every experiment, so
@@ -152,10 +152,10 @@ func main() {
 			defer f.Close()
 			sink = obs.NewJSONLSink(f)
 		}
-		o.Obs = obs.NewSweepObs(time.Now(), sink, nil)
+		engOpts.Obs = obs.NewSweepObs(time.Now(), sink, nil)
 	}
 	if *statusAddr != "" {
-		observer := o.Obs
+		observer := engOpts.Obs
 		srv, err := status.Serve(*statusAddr, status.Options{
 			Registry: observer.Reg,
 			Progress: func() obs.ProgressView { return observer.Progress(time.Now()) },
@@ -167,14 +167,8 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "dsre-bench: status server on http://%s\n", srv.Addr())
 	}
-	// One engine across every experiment so workload builds and golden-model
-	// runs memoize across experiment boundaries, not just within one.
-	eng, err := experiments.NewEngine(o)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsre-bench: %v\n", err)
-		os.Exit(1)
-	}
-	o.Engine = eng
+	eng := sweep.New(engOpts)
+	o := experiments.Opts{Quick: *quick, Engine: eng, Ctx: ctx}
 	want := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
 		if id = strings.TrimSpace(strings.ToUpper(id)); id != "" {

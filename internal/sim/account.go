@@ -8,11 +8,12 @@ import (
 	"repro/internal/isa"
 )
 
-// acctState is the machine's cycle-accounting and forensics state; nil when
-// accounting is disabled, so the hot path pays one nil check.
+// acctState is the machine's cycle-accounting and forensics state.
 type acctState struct {
-	stack     account.CPIStack
-	flight    *account.FlightRecorder
+	stack account.CPIStack
+	// flight is held by value so a zero Machine can still dump it (empty)
+	// from failAssert.
+	flight    account.FlightRecorder
 	forensics *account.Forensics
 
 	startCycle int64
@@ -54,36 +55,25 @@ func (mc *Machine) acctCounters() acctCounters {
 	}
 }
 
-// EnableAccounting turns on per-cycle CPI accounting, violation forensics
-// and the flight recorder for the rest of the run.  Cost is a few counter
-// compares per cycle (see BenchmarkMachineAccounting); disabled it is a
-// single nil check.
+// EnableAccounting restarts accounting at the current cycle: the CPI
+// stack, violation forensics and flight recorder start empty, and the
+// conservation invariant then covers the cycles from here to the end of
+// the run.  New calls it, so every run is accounted from cycle 0.
 func (mc *Machine) EnableAccounting() {
-	mc.acct = &acctState{
-		flight:     account.NewFlightRecorder(account.DefaultFlightDepth),
+	mc.acct = acctState{
+		flight:     *account.NewFlightRecorder(account.DefaultFlightDepth),
 		forensics:  account.NewForensics(),
 		startCycle: mc.cycle,
 		waveUntil:  -1,
+		prev:       mc.acctCounters(),
 	}
-	mc.acct.prev = mc.acctCounters()
-}
-
-// AccountingEnabled reports whether EnableAccounting was called.
-func (mc *Machine) AccountingEnabled() bool { return mc.acct != nil }
-
-// FlightDump renders the flight-recorder ring ("" when accounting is off).
-func (mc *Machine) FlightDump() string {
-	if mc.acct == nil {
-		return ""
-	}
-	return mc.acct.flight.Dump()
 }
 
 // accountCycle charges the just-finished cycle's commit-slot budget to
 // exactly one bucket and snapshots the machine into the flight recorder.
 // Runs after stepCommit, before the cycle counter advances.
 func (mc *Machine) accountCycle() {
-	a := mc.acct
+	a := &mc.acct
 	cur := mc.acctCounters()
 	b := mc.attributeCycle(a, cur, a.prev)
 	a.prev = cur
@@ -173,8 +163,6 @@ func (mc *Machine) squashEquivCost(fromSeq int64) int64 {
 // cycles go to stderr before the panic, so an invariant failure arrives
 // with the machine's recent history attached.
 func (mc *Machine) failAssert(format string, args ...any) {
-	if mc.acct != nil {
-		fmt.Fprint(os.Stderr, mc.acct.flight.Dump())
-	}
+	fmt.Fprint(os.Stderr, mc.acct.flight.Dump())
 	assertFailf(format, args...)
 }

@@ -10,8 +10,8 @@ import (
 	"repro/internal/workload"
 )
 
-// runAccounted runs a workload with cycle accounting enabled and returns
-// the result.
+// runAccounted runs a workload (accounting is always on) and returns the
+// result.
 func runAccounted(t *testing.T, kernel string, size int, rec core.RecoveryScheme) *Result {
 	t.Helper()
 	w := workload.MustBuild(kernel, workload.Params{Size: size})
@@ -22,7 +22,6 @@ func runAccounted(t *testing.T, kernel string, size int, rec core.RecoveryScheme
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.EnableAccounting()
 	r, err := mc.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -63,32 +62,6 @@ func TestAccountingConservation(t *testing.T) {
 	}
 }
 
-// TestAccountingDisabledZero pins the zero-cost-when-off contract: a run
-// without EnableAccounting must leave the accounting stats untouched.
-func TestAccountingDisabledZero(t *testing.T) {
-	w := workload.MustBuild("vecsum", workload.Params{Size: 64})
-	cfg := DefaultConfig()
-	cfg.Policy = core.IssueAggressive
-	cfg.Recovery = core.RecoverDSRE
-	mc, err := New(cfg, w.Program, &w.Regs, w.Mem, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mc.AccountingEnabled() {
-		t.Fatal("accounting enabled by default")
-	}
-	r, err := mc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tot := r.Stats.Acct.Total(); tot != 0 {
-		t.Errorf("disabled accounting produced %d bucket slots", tot)
-	}
-	if r.Stats.Forensics.Events != 0 {
-		t.Errorf("disabled accounting recorded %d forensic events", r.Stats.Forensics.Events)
-	}
-}
-
 // TestAccountingMatchesEmulator ties the commit bucket to ground truth:
 // with SlotsPerCycle == 1 and one block commit per cycle, the commit bucket
 // equals the number of committed blocks, which the emulator pins.
@@ -107,7 +80,6 @@ func TestAccountingMatchesEmulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.EnableAccounting()
 	r, err := mc.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +106,6 @@ func TestDeadlockDumpCarriesForensics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.EnableAccounting()
 	sink := &discardSink{}
 	mc.SetSampler(1000, sink)
 	_, err = mc.Run()
@@ -154,36 +125,5 @@ func TestDeadlockDumpCarriesForensics(t *testing.T) {
 	}
 	if sink.n == 0 {
 		t.Error("deadlock dump did not flush the partial telemetry window")
-	}
-}
-
-// BenchmarkMachineAccounting measures the accounting hot path against the
-// plain machine: "off" is the disabled path (one nil check per cycle), "on"
-// attributes every cycle and feeds the flight recorder.  DESIGN.md records
-// the budget (≤3% regression when on).
-func BenchmarkMachineAccounting(b *testing.B) {
-	w := workload.MustBuild("histogram", workload.Params{Size: 1024})
-	for _, on := range []bool{false, true} {
-		name := "off"
-		if on {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultConfig()
-				cfg.Policy = core.IssueAggressive
-				cfg.Recovery = core.RecoverDSRE
-				mc, err := New(cfg, w.Program, &w.Regs, w.Mem, nil, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if on {
-					mc.EnableAccounting()
-				}
-				if _, err := mc.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -180,18 +180,16 @@ func (mc *Machine) completeExec(j aluJob) {
 
 	st.fired++
 	mc.stats.Executed++
+	kind := trace.KindExec
 	if st.fired > 1 {
 		mc.stats.Reexecs++
 		mc.wave.Reexecuted(outTag)
-		if mc.tracer != nil {
-			mc.tracer.Record(mc.cycle, trace.KindReexec, b.seq, j.idx, uint64(outTag))
-		}
-	} else if mc.tracer != nil {
-		mc.tracer.Record(mc.cycle, trace.KindExec, b.seq, j.idx, uint64(outTag))
+		kind = trace.KindReexec
 	}
-	if mc.spans != nil {
+	if mc.tracer != nil {
+		mc.tracer.Record(mc.cycle, kind, b.seq, j.idx, uint64(outTag))
 		lat := int64(mc.cfg.opLatency(in.Op))
-		mc.spans.RecordSpan(trace.SpanExec, b.seq, j.idx, uint64(outTag), mc.cycle-lat, mc.cycle)
+		mc.tracer.RecordSpan(trace.SpanExec, b.seq, j.idx, uint64(outTag), mc.cycle-lat, mc.cycle)
 	}
 
 	committed := b.inputsCommitted(j.idx, in)

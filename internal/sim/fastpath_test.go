@@ -27,9 +27,9 @@ var fastpathSchemes = []fastpathScheme{
 
 // runTickVariant runs one kernel under one scheme with the event-driven
 // fast path (slow=false) or the dense reference path (slow=true), with
-// accounting and sampling optionally attached.  The workload is rebuilt
-// fresh for every call so both arms start from identical state.
-func runTickVariant(t *testing.T, kernel string, size int, s fastpathScheme, slow, acct bool, sampleEvery int64) (*Result, []Sample) {
+// sampling optionally attached.  The workload is rebuilt fresh for every
+// call so both arms start from identical state.
+func runTickVariant(t *testing.T, kernel string, size int, s fastpathScheme, slow bool, sampleEvery int64) (*Result, []Sample) {
 	t.Helper()
 	w := workload.MustBuild(kernel, workload.Params{Size: size})
 	var oracle map[emu.MemRef]emu.MemRef
@@ -49,9 +49,6 @@ func runTickVariant(t *testing.T, kernel string, size int, s fastpathScheme, slo
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acct {
-		mc.EnableAccounting()
-	}
 	var samples []Sample
 	if sampleEvery > 0 {
 		mc.SetSampler(sampleEvery, sampleFunc(func(s Sample) { samples = append(samples, s) }))
@@ -67,68 +64,68 @@ type sampleFunc func(Sample)
 
 func (f sampleFunc) Sample(s Sample) { f(s) }
 
-// TestFastPathByteIdentical is the PR's central differential contract: the
+// TestFastPathByteIdentical is the central differential contract of the
 // event-driven core (active-router network ticking, active-tile worklists,
-// scheduled injections, idle-gap fast-forward, object pooling) must produce
-// results byte-identical to stepping every structure every cycle — same
+// scheduled injections, idle-gap fast-forward, object pooling): it must
+// produce results byte-identical to stepping every structure every cycle — same
 // architectural state, same cycle count, same statistics to the last
 // counter, same telemetry windows, same CPI stack.  Any divergence means a
 // fast path changed machine semantics instead of skipping provable no-ops.
+// The acct subtest pins CPI conservation on both paths, since the fast
+// path charges most cycles without ever stepping them.
 func TestFastPathByteIdentical(t *testing.T) {
 	for _, kernel := range []string{"histogram", "vecsum", "listsum"} {
 		for _, s := range fastpathSchemes {
-			for _, acct := range []bool{false, true} {
-				name := kernel + "/" + s.name
-				if acct {
-					name += "/acct"
-				}
-				t.Run(name, func(t *testing.T) {
-					const sampleEvery = 100
-					fast, fastSamples := runTickVariant(t, kernel, 256, s, false, acct, sampleEvery)
-					slow, slowSamples := runTickVariant(t, kernel, 256, s, true, acct, sampleEvery)
+			t.Run(kernel+"/"+s.name, func(t *testing.T) {
+				const sampleEvery = 100
+				fast, fastSamples := runTickVariant(t, kernel, 256, s, false, sampleEvery)
+				slow, slowSamples := runTickVariant(t, kernel, 256, s, true, sampleEvery)
 
-					if fast.Regs != slow.Regs {
-						t.Error("architectural registers diverged")
-					}
-					if !fast.Mem.Equal(slow.Mem) {
-						addr, _ := fast.Mem.FirstDiff(slow.Mem)
-						t.Errorf("memory diverged at %#x", addr)
-					}
-					if fast.Blocks != slow.Blocks {
-						t.Errorf("blocks: fast %d, slow %d", fast.Blocks, slow.Blocks)
-					}
-					if !reflect.DeepEqual(fast.Stats, slow.Stats) {
-						fj, _ := json.Marshal(fast.Stats)
-						sj, _ := json.Marshal(slow.Stats)
-						t.Errorf("stats diverged:\nfast: %s\nslow: %s", fj, sj)
-					}
-					// Byte identity of the serialized form, which is what
-					// lands in dsre-report/v1 artifacts.
-					fj, err := json.Marshal(fast.Stats)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sj, err := json.Marshal(slow.Stats)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if string(fj) != string(sj) {
-						t.Error("stats JSON not byte-identical")
-					}
-					if !reflect.DeepEqual(fastSamples, slowSamples) {
-						t.Errorf("telemetry windows diverged: fast %d samples, slow %d",
-							len(fastSamples), len(slowSamples))
-					}
-					if acct {
-						// CPI conservation must hold on the fast path even
-						// though most cycles were never individually stepped.
-						if got, want := fast.Stats.Acct.Total(), fast.Stats.Cycles*account.SlotsPerCycle; got != want {
-							t.Errorf("fast-path CPI buckets sum to %d, want %d (cycles %d)",
-								got, want, fast.Stats.Cycles)
+				if fast.Regs != slow.Regs {
+					t.Error("architectural registers diverged")
+				}
+				if !fast.Mem.Equal(slow.Mem) {
+					addr, _ := fast.Mem.FirstDiff(slow.Mem)
+					t.Errorf("memory diverged at %#x", addr)
+				}
+				if fast.Blocks != slow.Blocks {
+					t.Errorf("blocks: fast %d, slow %d", fast.Blocks, slow.Blocks)
+				}
+				if !reflect.DeepEqual(fast.Stats, slow.Stats) {
+					fj, _ := json.Marshal(fast.Stats)
+					sj, _ := json.Marshal(slow.Stats)
+					t.Errorf("stats diverged:\nfast: %s\nslow: %s", fj, sj)
+				}
+				// Byte identity of the serialized form, which is what lands
+				// in dsre-report/v1 artifacts.
+				fj, err := json.Marshal(fast.Stats)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sj, err := json.Marshal(slow.Stats)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(fj) != string(sj) {
+					t.Error("stats JSON not byte-identical")
+				}
+				if !reflect.DeepEqual(fastSamples, slowSamples) {
+					t.Errorf("telemetry windows diverged: fast %d samples, slow %d",
+						len(fastSamples), len(slowSamples))
+				}
+				t.Run("acct", func(t *testing.T) {
+					for _, r := range []*Result{fast, slow} {
+						if got, want := r.Stats.Acct.Total(), r.Stats.Cycles*account.SlotsPerCycle; got != want {
+							t.Errorf("CPI buckets sum to %d, want %d (cycles %d)",
+								got, want, r.Stats.Cycles)
 						}
 					}
+					if fast.Stats.Acct != slow.Stats.Acct {
+						t.Errorf("CPI stacks diverged:\nfast: %s\nslow: %s",
+							fast.Stats.Acct.String(), slow.Stats.Acct.String())
+					}
 				})
-			}
+			})
 		}
 	}
 }
@@ -200,7 +197,8 @@ func TestMaxCyclesUnderFastPath(t *testing.T) {
 
 // TestSteadyStateZeroAllocs is the allocation guard for the simulator hot
 // loop: once warmed (scratch buffers grown, pools primed), stepping the
-// machine with telemetry off must not allocate at all, and a 100-cycle
+// machine — cycle accounting and the flight recorder included — with
+// telemetry off must not allocate at all, and a 100-cycle
 // sampling window must stay within a documented small budget (the sampler
 // appends one Sample per window; everything per-cycle is allocation-free).
 func TestSteadyStateZeroAllocs(t *testing.T) {

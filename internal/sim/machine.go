@@ -145,7 +145,7 @@ type Machine struct {
 
 	// lastFetch records what stepFetch did this cycle; during an idle-gap
 	// fast-forward the same (state-stable) stall repeats every skipped
-	// cycle and is replicated in bulk.
+	// cycle and is replayed by tickIdleTail.
 	lastFetch fetchAction
 	// ffSkipped counts cycles the run loop fast-forwarded across provably
 	// idle gaps (diagnostics only; never part of Stats).
@@ -165,12 +165,11 @@ type Machine struct {
 	finalTarget     int
 
 	stats  Stats
-	tracer Tracer
-	spans  SpanRecorder
-	err    error // fatal protocol error detected during a handler
+	tracer *trace.Collector // nil means untraced
+	err    error            // fatal protocol error detected during a handler
 
-	// Cycle accounting + forensics (see account.go); nil means off.
-	acct *acctState
+	// Cycle accounting + forensics (see account.go).
+	acct acctState
 
 	// Telemetry sampling (see sampler.go); sampleSink == nil means off.
 	sampleSink  SampleSink
@@ -181,27 +180,16 @@ type Machine struct {
 	haveSample  bool
 }
 
-// Tracer receives execution events when attached (see internal/trace).
-type Tracer interface {
-	Record(cycle int64, kind trace.Kind, seq int64, idx int, tag uint64)
-}
-
-// SpanRecorder is optionally implemented by tracers that also want
-// per-stage duration spans (trace.Collector implements it).
-type SpanRecorder interface {
-	RecordSpan(kind trace.SpanKind, seq int64, idx int, tag uint64, start, end int64)
-}
-
-// SetTracer attaches an event tracer; nil detaches.  A tracer that also
-// implements SpanRecorder receives fetch/block/exec stage spans.
-func (mc *Machine) SetTracer(t Tracer) {
-	mc.tracer = t
-	mc.spans, _ = t.(SpanRecorder)
+// SetTracer attaches a collector that receives execution events and
+// fetch/block/exec stage spans; nil detaches.
+func (mc *Machine) SetTracer(c *trace.Collector) {
+	mc.tracer = c
 }
 
 // New builds a machine for one run of prog from the given initial state.
 // The oracle table (from an emulator pre-pass) is required only for
-// IssueOracle; the perfect block trace only for PerfectBlockPred.
+// IssueOracle; the perfect block trace only for PerfectBlockPred.  Cycle
+// accounting and forensics run from cycle 0.
 func New(cfg Config, prog *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory, oracleDeps map[emu.MemRef]emu.MemRef, trace []int) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -289,6 +277,7 @@ func New(cfg Config, prog *isa.Program, regs *[isa.NumRegs]int64, m *mem.Memory,
 	if cfg.ValuePredict {
 		mc.vp = predictor.NewStrideValue()
 	}
+	mc.EnableAccounting()
 	return mc, nil
 }
 

@@ -136,38 +136,40 @@ func (mc *Machine) step() bool {
 	if mc.stepCommit() {
 		progress = true
 	}
-	// Sample before accounting this cycle's slot so a window ending at
-	// cycle c covers exactly the accounted cycles (base, c]: windowed CPI
-	// buckets then sum to Window × SlotsPerCycle with no boundary skew.
+	mc.endCycle()
+	return progress
+}
+
+// endCycle closes the current cycle, for stepped and fast-forwarded cycles
+// alike.  Sampling comes before accounting this cycle's slot so a window
+// ending at cycle c covers exactly the accounted cycles (base, c]:
+// windowed CPI buckets then sum to Window × SlotsPerCycle with no boundary
+// skew.
+func (mc *Machine) endCycle() {
 	if mc.sampleSink != nil && mc.cycle >= mc.sampleAt {
 		mc.takeSample()
 	}
-	if mc.acct != nil {
-		mc.accountCycle()
-	}
+	mc.accountCycle()
 	mc.cycle++
-	return progress
 }
 
 // fastForward advances mc.cycle to the next cycle at which anything can
 // happen, after step returned false.  The jump target is the earliest of
 // every pending event source, clamped so the run loop still observes the
-// max-cycle and deadlock boundaries and the sampler still closes windows at
-// exact multiples:
+// max-cycle and deadlock boundaries:
 //
 //   - the next scheduled injection (injq);
 //   - the next network arrival or transmission (NextEvent);
 //   - the next ALU completion (tileNext; ready queues are empty after a
 //     null step, else it refuses to jump);
 //   - fetch completion (fetch.readyAt) when a fetch is in flight;
-//   - the first cycle the deadlock detector would fire, and maxCycles;
-//   - the next sampler window boundary.
+//   - the first cycle the deadlock detector would fire, and maxCycles.
 //
 // Skipped cycles are not free of side effects: a stalled fetch engine
 // increments its stall counter every cycle, the sampler may close a window,
-// and cycle accounting attributes every cycle's slots.  With accounting on
-// the cycles are replayed individually (tickIdleTail); otherwise the stall
-// counters are advanced in bulk, which is exactly what replaying would do.
+// and cycle accounting attributes every cycle's slots.  Each skipped cycle
+// is therefore replayed through tickIdleTail, which does exactly what
+// stepping it would.
 func (mc *Machine) fastForward(maxCycles, deadlock int64) {
 	next := mc.lastCommitCycle + deadlock + 1
 	if maxCycles < next {
@@ -185,35 +187,19 @@ func (mc *Machine) fastForward(maxCycles, deadlock int64) {
 	if mc.fetch.active && mc.fetch.readyAt < next {
 		next = mc.fetch.readyAt
 	}
-	if mc.sampleSink != nil && mc.sampleAt < next {
-		next = mc.sampleAt
-	}
 	if next <= mc.cycle {
 		return
 	}
 	mc.ffSkipped += next - mc.cycle
-	if mc.acct != nil {
-		for mc.cycle < next {
-			mc.tickIdleTail()
-		}
-		return
+	for mc.cycle < next {
+		mc.tickIdleTail()
 	}
-	switch mc.lastFetch {
-	case fetchStallFrames:
-		mc.stats.FetchStallFrames += next - mc.cycle
-	case fetchStallLSQ:
-		mc.stats.FetchStallLSQ += next - mc.cycle
-	default:
-		// fetchIdle and fetchWaiting move no counters; fetchProgress cannot
-		// follow a null step.
-	}
-	mc.cycle = next
 }
 
-// tickIdleTail replays the per-cycle tail of a skipped idle cycle: the
-// fetch engine's stall counter (the only statistic a null cycle moves),
-// then the sampler boundary check, then cycle accounting — the same order
-// step uses, so windows and CPI stacks close over identical state.
+// tickIdleTail replays a skipped idle cycle: the fetch engine's stall
+// counter (the only statistic a null cycle moves), then endCycle — the
+// same order step uses, so windows and CPI stacks close over identical
+// state.
 func (mc *Machine) tickIdleTail() {
 	switch mc.lastFetch {
 	case fetchStallFrames:
@@ -224,19 +210,13 @@ func (mc *Machine) tickIdleTail() {
 		// fetchIdle and fetchWaiting move no counters; fetchProgress cannot
 		// follow a null step.
 	}
-	if mc.sampleSink != nil && mc.cycle >= mc.sampleAt {
-		mc.takeSample()
-	}
-	if mc.acct != nil {
-		mc.accountCycle()
-	}
-	mc.cycle++
+	mc.endCycle()
 }
 
 // debugDump renders the stuck machine for deadlock diagnostics.  The
 // sampler's partial window is flushed first so the telemetry line below
-// reflects the moment of the dump, and the flight recorder (when
-// accounting is on) appends the last recorded cycles.
+// reflects the moment of the dump, and the flight recorder appends the
+// last recorded cycles.
 func (mc *Machine) debugDump() string {
 	if mc.sampleSink != nil && mc.cycle > mc.sampleBase.cycle {
 		mc.takeSample()
@@ -281,12 +261,7 @@ func (mc *Machine) debugDump() string {
 			s.LSQOccupancy, s.NoCPending, s.Waves, s.Reexecs, s.Flushes,
 			s.L1DMissRate, s.L2MissRate)
 	}
-	if mc.acct != nil {
-		fmt.Fprintf(&b, "cycle accounting: %s\n", mc.acct.stack.String())
-		b.WriteString(mc.acct.flight.Dump())
-	}
+	fmt.Fprintf(&b, "cycle accounting: %s\n", mc.acct.stack.String())
+	b.WriteString(mc.acct.flight.Dump())
 	return b.String()
 }
-
-// Cycle returns the current cycle (for tests and tools).
-func (mc *Machine) Cycle() int64 { return mc.cycle }

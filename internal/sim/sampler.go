@@ -59,7 +59,7 @@ type sampleOrigin struct {
 }
 
 func (mc *Machine) sampleOriginNow() sampleOrigin {
-	o := sampleOrigin{
+	return sampleOrigin{
 		cycle:           mc.cycle,
 		committedExecs:  mc.stats.CommittedExecs,
 		committedBlocks: mc.committed,
@@ -70,11 +70,8 @@ func (mc *Machine) sampleOriginNow() sampleOrigin {
 		l1dMisses:       mc.hier.L1D.Stats.Misses,
 		l2Hits:          mc.hier.L2.Stats.Hits,
 		l2Misses:        mc.hier.L2.Stats.Misses,
+		acct:            mc.acct.stack,
 	}
-	if mc.acct != nil {
-		o.acct = mc.acct.stack
-	}
-	return o
 }
 
 // SetSampler attaches a telemetry sink sampled every `every` cycles; a nil
@@ -100,8 +97,8 @@ func rate(misses, hits int64) float64 {
 }
 
 // takeSample closes the current window, emits it to the sink, and opens the
-// next one.  Called from step() at window boundaries and from Run() for the
-// final partial window.
+// next one.  Called from endCycle at window boundaries and from Run() for
+// the final partial window.
 func (mc *Machine) takeSample() {
 	base := mc.sampleBase
 	now := mc.sampleOriginNow()

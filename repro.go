@@ -412,10 +412,6 @@ func runVerified(ctx context.Context, cfg Config, scheme string, policy core.Iss
 	if err != nil {
 		return nil, err
 	}
-	// Cycle accounting + forensics are always on for verified runs: the
-	// overhead is a few counter compares per cycle, and every
-	// dsre-report/v1 gets a CPI stack and per-load audit for free.
-	mc.EnableAccounting()
 	var collector *trace.Collector
 	if cfg.Trace {
 		collector = &trace.Collector{}
