@@ -53,7 +53,9 @@ type artifact struct {
 	Quick     bool               `json:"quick"`
 	Tables    []*stats.Table     `json:"tables"`
 	Headlines map[string]float64 `json:"headlines,omitempty"`
-	ElapsedMS int64              `json:"elapsed_ms"`
+	// ElapsedMS is the harness wall time since the previous artifact (or
+	// the start), attributed like SimCycles.
+	ElapsedMS int64 `json:"elapsed_ms"`
 	// Simulator throughput attributed to this experiment: live (non-cached)
 	// simulated cycles and wall time since the previous artifact, and their
 	// quotient.  A fully cached group records zeros and omits the rate —
@@ -136,30 +138,25 @@ func main() {
 		engOpts.Store = st
 	}
 	if *progress {
-		engOpts.Progress = sweep.NewReporter(os.Stderr, *jobs)
+		engOpts.Progress = os.Stderr
 	}
 
-	// Fleet observability (opt-in): one observer spans every experiment, so
-	// /metrics and the event log see the whole harness run as one fleet.
-	if *eventsPath != "" || *statusAddr != "" {
-		var sink obs.EventSink
-		if *eventsPath != "" {
-			f, err := os.Create(*eventsPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dsre-bench: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			sink = obs.NewJSONLSink(f)
+	// Fleet observability: one observer spans every experiment, so /metrics
+	// and the event log (both opt-in) see the whole harness run as one
+	// fleet.
+	var sink obs.EventSink
+	if *eventsPath != "" {
+		f, err := os.Create(*eventsPath)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dsre-bench: %v\n", err)
+			os.Exit(1)
 		}
-		engOpts.Obs = obs.NewSweepObs(time.Now(), sink, nil)
+		defer f.Close()
+		sink = obs.NewJSONLSink(f)
 	}
+	engOpts.Obs = obs.NewSweepObs(time.Now(), sink, nil)
 	if *statusAddr != "" {
-		observer := engOpts.Obs
-		srv, err := status.Serve(*statusAddr, status.Options{
-			Registry: observer.Reg,
-			Progress: func() obs.ProgressView { return observer.Progress(time.Now()) },
-		})
+		srv, err := status.Serve(*statusAddr, engOpts.Obs)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dsre-bench: %v\n", err)
 			os.Exit(1)
@@ -185,6 +182,7 @@ func main() {
 	}
 
 	start := time.Now()
+	last := start
 	ran := 0
 	regressions := 0
 	var tallyCycles int64
@@ -197,15 +195,19 @@ func main() {
 		}
 		ran++
 		// Experiment arguments are evaluated before emit runs, so the tally
-		// delta since the last artifact is this experiment's live simulation
-		// work (for shared runs like E2/E3, the first artifact carries it).
+		// and clock deltas since the last artifact are this experiment's
+		// live simulation work and wall time (for shared runs like E2/E3,
+		// the first artifact carries them).
+		now := time.Now()
+		elapsed := now.Sub(last)
+		last = now
 		cyc, wall := eng.Tally()
 		dCycles, dWall := cyc-tallyCycles, wall-tallyWall
 		tallyCycles, tallyWall = cyc, wall
 		a := artifact{
 			Schema: artifactSchema, ID: id, Quick: *quick,
 			Tables: tables, Headlines: headlines,
-			ElapsedMS: time.Since(start).Milliseconds(),
+			ElapsedMS: elapsed.Milliseconds(),
 			SimCycles: dCycles, SimWallMS: float64(dWall.Microseconds()) / 1e3,
 		}
 		if dWall > 0 {

@@ -213,11 +213,10 @@ func runWorker(join, id string, jobs int, poll, timeout time.Duration, retries i
 	// The worker records its own span chains (queue-wait, prepare, run
 	// attempts, upload) and ships them to the daemon with each completed
 	// job for cross-process trace stitching.
-	wspans := obs.NewSpanLog()
-	wobs := obs.NewSweepObsInto(obs.NewRegistry(), time.Now(), nil, wspans)
+	wobs := obs.NewSweepObs(time.Now(), nil, obs.NewSpanLog())
 	engine := sweep.New(sweep.Options{Workers: jobs, Timeout: timeout, Retries: retries, Obs: wobs})
 	w, err := serve.NewWorker(serve.WorkerOptions{
-		BaseURL: join, ID: id, Engine: engine, Concurrency: jobs, Poll: poll, Spans: wspans,
+		BaseURL: join, ID: id, Engine: engine, Concurrency: jobs, Poll: poll,
 	})
 	if err != nil {
 		fatalf("%v", err)

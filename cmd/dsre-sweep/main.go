@@ -183,12 +183,14 @@ func main() {
 		opts.Store = serve.NewRemoteStore(*cacheURL, nil)
 	}
 	if !*quiet {
-		opts.Progress = sweep.NewReporter(os.Stderr, *jobs)
+		opts.Progress = os.Stderr
 	}
 
-	// Fleet observability: all three surfaces are opt-in and disabled hooks
-	// cost the engine one nil check, so a bare sweep stays byte-identical.
-	var sink *obs.JSONLSink
+	// Fleet observability: the engine's observer always keeps metrics and
+	// live progress; the event log, the span log and the status server
+	// that exposes them are opt-in.
+	var sink obs.EventSink
+	var jsonl *obs.JSONLSink
 	var eventsFile *os.File
 	if *eventsPath != "" {
 		f, err := os.Create(*eventsPath)
@@ -196,28 +198,16 @@ func main() {
 			fatalf("%v", err)
 		}
 		eventsFile = f
-		sink = obs.NewJSONLSink(f)
+		jsonl = obs.NewJSONLSink(f)
+		sink = jsonl
 	}
 	var spans *obs.SpanLog
 	if *spanTrace != "" {
 		spans = obs.NewSpanLog()
 	}
-	var observer *obs.SweepObs
-	if *statusAddr != "" || sink != nil || spans != nil {
-		// The sink interface value must be nil when no log was requested;
-		// wrapping a nil *JSONLSink would produce a non-nil interface.
-		var s obs.EventSink
-		if sink != nil {
-			s = sink
-		}
-		observer = obs.NewSweepObs(time.Now(), s, spans)
-		opts.Obs = observer
-	}
+	opts.Obs = obs.NewSweepObs(time.Now(), sink, spans)
 	if *statusAddr != "" {
-		srv, err := status.Serve(*statusAddr, status.Options{
-			Registry: observer.Reg,
-			Progress: func() obs.ProgressView { return observer.Progress(time.Now()) },
-		})
+		srv, err := status.Serve(*statusAddr, opts.Obs)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -270,7 +260,7 @@ func main() {
 		}
 	}
 	if eventsFile != nil {
-		if err := sink.Err(); err != nil {
+		if err := jsonl.Err(); err != nil {
 			fmt.Fprintf(os.Stderr, "dsre-sweep: event log degraded: %v\n", err)
 		}
 		if err := eventsFile.Close(); err != nil {

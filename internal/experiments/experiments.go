@@ -497,7 +497,7 @@ func E14DTileBanks(o Opts) *stats.Table {
 	reps := o.results(specs)
 
 	t := stats.NewTable("E14: D-tile memory ports (DSRE)",
-		"workload", "1 bank", "2 banks", "4 banks", "queue-wait 1", "queue-wait 4")
+		"workload", "IPC 1 bank", "IPC 2 banks", "IPC 4 banks", "queue-wait 1", "queue-wait 4")
 	i := 0
 	for _, k := range kernels {
 		var ipcs []any
@@ -580,7 +580,7 @@ func E16ValuePrediction(o Opts) *stats.Table {
 	reps := o.results(specs)
 
 	t := stats.NewTable("E16: map-time load-value prediction (repair via DSRE waves)",
-		"workload", "dsre", "dsre+vp", "conservative", "conservative+vp", "cons gain", "VP hits", "VP corrections")
+		"workload", "IPC dsre", "IPC dsre+vp", "IPC conservative", "IPC conservative+vp", "cons gain", "VP hits", "VP corrections")
 	for i, k := range kernels {
 		d, dv, c, cv := reps[4*i], reps[4*i+1], reps[4*i+2], reps[4*i+3]
 		t.Row(k, d.IPC, dv.IPC, c.IPC, cv.IPC,

@@ -20,10 +20,10 @@ const ServeProgressSchema = "dsre-serve-progress/v1"
 // The queue calls every hook while holding its own lock; ServeObs takes
 // its lock second and never calls back into the queue, so the order is
 // acyclic.  Lease-gauge accounting is exact by protocol: every granted
-// lease is closed by exactly one of JobDone (lease attached),
-// UploadDuplicate (lease attached) or LeaseExpired; callers pass an empty
-// lease when the lease already ended (a late upload from a crashed
-// worker).
+// lease is closed by exactly one of JobDone, UploadDuplicate, JobRequeued
+// (each with the lease attached) or LeaseExpired, all through
+// closeLeaseLocked; callers pass an empty lease when the lease already
+// ended (a late upload from a crashed worker).
 type ServeObs struct {
 	// Reg is the registry the metrics live in (shared with the daemon's
 	// engine SweepObs so the daemon exposes one /metrics page).
@@ -245,28 +245,13 @@ func (o *ServeObs) Heartbeat(peer string, now time.Time) {
 // "abandoned", so a stitched trace shows the lost attempt next to the
 // retry that succeeded.
 func (o *ServeObs) LeaseExpired(peer, hash, name, lease string, now time.Time) {
-	ns := o.rel(now)
 	var trace string
 	o.mu.Lock()
-	p, ok := o.peers[peer]
-	if ok && p.leased > 0 {
-		p.leased--
-	}
-	if fs := o.leases[lease]; fs != nil {
+	if fs := o.closeLeaseLocked(o.peers[peer], lease, "abandoned", false, o.rel(now), PhaseRemoteRun); fs != nil {
 		trace = fs.trace
-		fs.mark(PhaseRemoteRun, ns)
-		if o.spans != nil && ok {
-			o.spans.Add(JobSpans{
-				Name: fs.name, Hash: fs.hash, Grid: "serve", Worker: p.lane,
-				Status: "abandoned", Trace: fs.trace, Span: fs.span,
-				Origin: "daemon", Peer: fs.peer, Attempt: fs.attempt, Phases: fs.phases,
-			})
-		}
 	}
-	delete(o.leases, lease)
 	o.mu.Unlock()
 	o.mExpiries.Inc()
-	o.gLeased.Add(-1)
 	o.emit(Event{Kind: EventLeaseExpired, Job: hash, Name: name, Peer: peer, Lease: lease, Trace: trace}, now)
 }
 
@@ -275,16 +260,10 @@ func (o *ServeObs) LeaseExpired(peer, hash, name, lease string, now time.Time) {
 // uploader's still-valid lease closes here (pass it); an expiry-driven
 // requeue already closed its lease in LeaseExpired (pass "").
 func (o *ServeObs) JobRequeued(peer, hash, name, lease string, attempt int, now time.Time) {
-	o.mu.Lock()
 	if lease != "" {
-		if p, ok := o.peers[peer]; ok && p.leased > 0 {
-			p.leased--
-		}
-		delete(o.leases, lease)
-	}
-	o.mu.Unlock()
-	if lease != "" {
-		o.gLeased.Add(-1)
+		o.mu.Lock()
+		o.closeLeaseLocked(o.peers[peer], lease, "", false, 0)
+		o.mu.Unlock()
 	}
 	o.mRequeues.Inc()
 	o.gQueue.Add(1)
@@ -296,29 +275,10 @@ func (o *ServeObs) JobRequeued(peer, hash, name, lease string, attempt int, now 
 // lease is the uploader's still-valid lease (closed here), or empty when
 // it already expired.
 func (o *ServeObs) UploadDuplicate(peer, hash, name, lease string, now time.Time) {
-	ns := o.rel(now)
-	o.mu.Lock()
 	if lease != "" {
-		p, ok := o.peers[peer]
-		if ok && p.leased > 0 {
-			p.leased--
-		}
-		if fs := o.leases[lease]; fs != nil {
-			fs.mark(PhaseRemoteRun, ns)
-			fs.mark(PhaseUpload, ns)
-			if o.spans != nil && ok {
-				o.spans.Add(JobSpans{
-					Name: fs.name, Hash: fs.hash, Grid: "serve", Worker: p.lane,
-					Status: "duplicate", Trace: fs.trace, Span: fs.span,
-					Origin: "daemon", Peer: fs.peer, Attempt: fs.attempt, Phases: fs.phases,
-				})
-			}
-		}
-		delete(o.leases, lease)
-	}
-	o.mu.Unlock()
-	if lease != "" {
-		o.gLeased.Add(-1)
+		o.mu.Lock()
+		o.closeLeaseLocked(o.peers[peer], lease, "duplicate", false, o.rel(now), PhaseRemoteRun, PhaseUpload)
+		o.mu.Unlock()
 	}
 	o.mUploadDup.Inc()
 	o.emit(Event{Kind: EventUpload, Job: hash, Name: name, Peer: peer, Lease: lease, Status: "duplicate"}, now)
@@ -335,37 +295,19 @@ func (o *ServeObs) JobDone(peer, hash, name, lease, status string, cacheHit, upl
 
 	o.mu.Lock()
 	p := o.peerLocked(peer)
-	if lease != "" && p.leased > 0 {
-		p.leased--
-	}
 	p.lastSeenNS = ns
 	if ok {
 		p.done++
 	} else {
 		p.failed++
 	}
-	var fs *fleetSpan
 	if lease != "" {
-		fs = o.leases[lease]
-		delete(o.leases, lease)
-	}
-	if fs != nil {
-		fs.mark(PhaseRemoteRun, ns)
-		fs.mark(PhaseUpload, ns)
-		o.hRemoteRun.Observe(float64(ns-fs.leasedNS) / float64(time.Second))
-		if o.spans != nil {
-			o.spans.Add(JobSpans{
-				Name: fs.name, Hash: fs.hash, Grid: "serve", Worker: p.lane,
-				Status: status, CacheHit: cacheHit, Trace: fs.trace, Span: fs.span,
-				Origin: "daemon", Peer: fs.peer, Attempt: fs.attempt, Phases: fs.phases,
-			})
+		if fs := o.closeLeaseLocked(p, lease, status, cacheHit, ns, PhaseRemoteRun, PhaseUpload); fs != nil {
+			o.hRemoteRun.Observe(float64(ns-fs.leasedNS) / float64(time.Second))
 		}
 	}
 	o.mu.Unlock()
 
-	if lease != "" {
-		o.gLeased.Add(-1)
-	}
 	if ok {
 		o.mDone.Inc()
 		if !cacheHit {
@@ -379,6 +321,35 @@ func (o *ServeObs) JobDone(peer, hash, name, lease, status string, cacheHit, upl
 		o.emit(Event{Kind: EventUpload, Job: hash, Name: name, Peer: peer, Lease: lease,
 			Status: status, CacheHit: cacheHit, ElapsedMS: elapsedMS}, now)
 	}
+}
+
+// closeLeaseLocked is the one exit of a granted lease: it drops the
+// peer's (nil for a peer never seen) and the gauge's lease counts and
+// forgets the lease.  A non-empty status ends the attempt: the daemon-side
+// chain is closed through phases at ns and recorded in the span log under
+// that status.  An empty status (a requeue) records no chain.  It returns
+// the lease's chain, nil for an unknown lease.  Callers hold o.mu.
+func (o *ServeObs) closeLeaseLocked(p *peerState, lease, status string, cacheHit bool, ns int64, phases ...Phase) *fleetSpan {
+	if p != nil && p.leased > 0 {
+		p.leased--
+	}
+	o.gLeased.Add(-1)
+	fs := o.leases[lease]
+	delete(o.leases, lease)
+	if fs == nil || status == "" {
+		return fs
+	}
+	for _, ph := range phases {
+		fs.mark(ph, ns)
+	}
+	if o.spans != nil && p != nil {
+		o.spans.Add(JobSpans{
+			Name: fs.name, Hash: fs.hash, Grid: "serve", Worker: p.lane,
+			Status: status, CacheHit: cacheHit, Trace: fs.trace, Span: fs.span,
+			Origin: "daemon", Peer: fs.peer, Attempt: fs.attempt, Phases: fs.phases,
+		})
+	}
+	return fs
 }
 
 // WorkerSpans ingests span chains a fleet worker shipped with its result

@@ -19,18 +19,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Options configures the endpoints.
-type Options struct {
-	// Registry backs /metrics; nil serves 404 there.
-	Registry *obs.Registry
-	// Progress returns the live-progress document for /progress (typically
-	// SweepObs.Progress bound to the wall clock); nil serves 404 there.
-	Progress func() obs.ProgressView
-	// Start is the process start time reported by /healthz (zero means the
-	// moment the handler was built).
-	Start time.Time
-}
-
 // healthView is the /healthz JSON document: liveness plus the version
 // identity operators use to spot skewed processes.  It mirrors the
 // dsre-serve-health/v1 shape served by the daemon.
@@ -50,13 +38,13 @@ type Server struct {
 }
 
 // Serve binds addr immediately — a bad address fails the caller, not a
-// background goroutine — and serves until Close.
-func Serve(addr string, opts Options) (*Server, error) {
+// background goroutine — and serves o's surfaces until Close.
+func Serve(addr string, o *obs.SweepObs) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("status: listen %s: %w", addr, err)
 	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: Handler(opts), ReadHeaderTimeout: 10 * time.Second}}
+	s := &Server{ln: ln, srv: &http.Server{Handler: Handler(o), ReadHeaderTimeout: 10 * time.Second}}
 	go func() {
 		// http.Serve returns ErrServerClosed-ish errors on Close; the
 		// listener owns the lifecycle, so there is nothing to report.
@@ -71,14 +59,13 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close stops the listener and in-flight handlers.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// Handler builds the status mux (exported so tests can drive it without a
+// Handler builds the status mux over o: its registry at /metrics, its live
+// progress at /progress, and /healthz reporting the moment the handler was
+// built as the start time (exported so tests can drive it without a
 // socket).
-func Handler(opts Options) http.Handler {
+func Handler(o *obs.SweepObs) http.Handler {
 	mux := http.NewServeMux()
-	start := opts.Start
-	if start.IsZero() {
-		start = time.Now()
-	}
+	start := time.Now()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -91,22 +78,14 @@ func Handler(opts Options) http.Handler {
 		})
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if opts.Registry == nil {
-			http.NotFound(w, r)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = opts.Registry.WritePrometheus(w)
+		_ = o.Reg.WritePrometheus(w)
 	})
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
-		if opts.Progress == nil {
-			http.NotFound(w, r)
-			return
-		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(opts.Progress())
+		_ = enc.Encode(o.Progress(time.Now()))
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {

@@ -11,15 +11,10 @@ import (
 	"repro/internal/obs"
 )
 
-func testOptions() Options {
+func testObserver() *obs.SweepObs {
 	reg := obs.NewRegistry()
 	reg.Counter("dsre_test_total", "test counter").Add(3)
-	return Options{
-		Registry: reg,
-		Progress: func() obs.ProgressView {
-			return obs.ProgressView{Schema: obs.ProgressSchema, UptimeMS: 5}
-		},
-	}
+	return obs.NewSweepObsInto(reg, time.Now(), nil, nil)
 }
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -37,7 +32,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 }
 
 func TestHandlerEndpoints(t *testing.T) {
-	srv := httptest.NewServer(Handler(testOptions()))
+	srv := httptest.NewServer(Handler(testObserver()))
 	defer srv.Close()
 
 	if code, body := get(t, srv, "/healthz"); code != http.StatusOK ||
@@ -67,24 +62,10 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 }
 
-func TestHandlerNilSurfaces(t *testing.T) {
-	srv := httptest.NewServer(Handler(Options{}))
-	defer srv.Close()
-	if code, _ := get(t, srv, "/metrics"); code != http.StatusNotFound {
-		t.Errorf("nil registry /metrics = %d, want 404", code)
-	}
-	if code, _ := get(t, srv, "/progress"); code != http.StatusNotFound {
-		t.Errorf("nil progress /progress = %d, want 404", code)
-	}
-	if code, _ := get(t, srv, "/healthz"); code != http.StatusOK {
-		t.Errorf("/healthz = %d, want 200", code)
-	}
-}
-
 // TestServeLifecycle pins the real listener path: bind on :0, resolve the
 // address, answer a request, refuse bad addresses synchronously.
 func TestServeLifecycle(t *testing.T) {
-	s, err := Serve("127.0.0.1:0", testOptions())
+	s, err := Serve("127.0.0.1:0", testObserver())
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -103,7 +84,7 @@ func TestServeLifecycle(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Errorf("Close: %v", err)
 	}
-	if _, err := Serve("256.0.0.1:bad", Options{}); err == nil {
+	if _, err := Serve("256.0.0.1:bad", testObserver()); err == nil {
 		t.Error("Serve accepted an unusable address")
 	}
 }

@@ -12,9 +12,10 @@ const ProgressSchema = "dsre-progress/v1"
 // SweepObs bundles the fleet-level observability surfaces for the sweep
 // engine: a typed metrics Registry, an optional structured EventSink, an
 // optional per-job SpanLog, and the live-progress state the -status HTTP
-// endpoint renders.  Every method takes the caller's clock reading — this
-// package never reads time itself — and the engine guards every call with
-// a single nil check, so a disabled observer is one pointer compare.
+// endpoint and the engine's stderr progress lines render.  Every method
+// takes the caller's clock reading — this package never reads time itself.
+// The engine always has one (sweep.New builds a metrics-only observer when
+// none is passed), and it calls it only at job boundaries.
 type SweepObs struct {
 	// Reg is the metrics registry; never nil.  The status server exposes it
 	// at /metrics.
@@ -97,6 +98,11 @@ func NewSweepObsInto(reg *Registry, start time.Time, sink EventSink, spans *Span
 }
 
 func (o *SweepObs) rel(t time.Time) int64 { return t.Sub(o.start).Nanoseconds() }
+
+// Spans returns the span log jobs are recorded into; nil when span
+// collection is off.  A fleet worker takes each job's chains out of it to
+// ship them with the result upload.
+func (o *SweepObs) Spans() *SpanLog { return o.spans }
 
 func (o *SweepObs) emit(e Event, now time.Time) {
 	if o.sink != nil {
@@ -366,10 +372,8 @@ func (o *SweepObs) Progress(now time.Time) ProgressView {
 	defer o.mu.Unlock()
 	nowNS := o.rel(now)
 	v := ProgressView{Schema: ProgressSchema, UptimeMS: nowNS / int64(time.Millisecond)}
-	rate, haveRate := o.rate.Rate(now)
-	if haveRate {
-		v.RatePerSec = rate
-	}
+	rate, _ := o.rate.Rate(now)
+	v.RatePerSec = rate
 	for i := range o.workers {
 		wv := WorkerView{Worker: i, Busy: o.workers[i].busy, Job: o.workers[i].job}
 		if wv.Busy {
@@ -378,24 +382,41 @@ func (o *SweepObs) Progress(now time.Time) ProgressView {
 		v.Workers = append(v.Workers, wv)
 	}
 	for _, gs := range o.grids {
-		gv := GridView{
-			Grid: gs.name, Total: gs.total, Unique: gs.unique,
-			Queued: gs.queued, Running: gs.runs,
-			Done: gs.done, Cached: gs.cached, Failed: gs.failed,
-			Finished: gs.finished,
-		}
-		endNS := gs.endNS
-		if !gs.finished {
-			endNS = nowNS
-		}
-		gv.ElapsedMS = (endNS - gs.startNS) / int64(time.Millisecond)
-		if !gs.finished && haveRate && rate > 0 {
-			remaining := gs.queued + gs.runs
-			gv.EtaMS = int64(float64(remaining) / rate * 1e3)
-		}
-		v.Grids = append(v.Grids, gv)
+		v.Grids = append(v.Grids, gs.view(nowNS, rate))
 	}
 	return v
+}
+
+// View renders this grid's live progress: the counts and ETA /progress
+// serves, which the engine's stderr lines print too.
+func (g *Grid) View(now time.Time) GridView {
+	o := g.o
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	rate, _ := o.rate.Rate(now)
+	return g.gs.view(o.rel(now), rate)
+}
+
+// view renders one grid at nowNS; rate is the rolling completion rate, 0
+// while the window holds fewer than two computed completions (no ETA).
+// Callers hold the observer's lock.
+func (gs *gridState) view(nowNS int64, rate float64) GridView {
+	gv := GridView{
+		Grid: gs.name, Total: gs.total, Unique: gs.unique,
+		Queued: gs.queued, Running: gs.runs,
+		Done: gs.done, Cached: gs.cached, Failed: gs.failed,
+		Finished: gs.finished,
+	}
+	endNS := gs.endNS
+	if !gs.finished {
+		endNS = nowNS
+	}
+	gv.ElapsedMS = (endNS - gs.startNS) / int64(time.Millisecond)
+	if !gs.finished && rate > 0 {
+		remaining := gs.queued + gs.runs
+		gv.EtaMS = int64(float64(remaining) / rate * 1e3)
+	}
+	return gv
 }
 
 func firstLine(s string) string {

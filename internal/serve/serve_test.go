@@ -808,8 +808,9 @@ func TestWorkerFleetEndToEnd(t *testing.T) {
 	}
 }
 
-// startTracedWorker runs a fleet worker whose engine records spans into its
-// own local SpanLog, which the worker ships with every completion upload.
+// startTracedWorker runs a fleet worker whose engine observer records spans
+// into its own local SpanLog, which the worker ships with every completion
+// upload.
 func startTracedWorker(t *testing.T, d *daemon, id string, delay time.Duration, onLease func(string) error) (cancel func(), done chan error) {
 	t.Helper()
 	wspans := obs.NewSpanLog()
@@ -818,7 +819,6 @@ func startTracedWorker(t *testing.T, d *daemon, id string, delay time.Duration, 
 		BaseURL: d.ts.URL, ID: id,
 		Engine:  sweep.New(sweep.Options{Workers: 1, Runner: fakeRunner(delay), Obs: engObs}),
 		Poll:    5 * time.Millisecond,
-		Spans:   wspans,
 		OnLease: onLease,
 	})
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/tracing"
 	"repro/internal/sweep"
 )
@@ -25,7 +24,10 @@ type WorkerOptions struct {
 	ID string
 	// Engine executes leased specs (required; build it with Store nil —
 	// results travel back through the complete upload, and the daemon owns
-	// the store).
+	// the store).  When its observer keeps a span log, the worker takes
+	// each job's chains out of it after the run, stamps them with the
+	// lease's propagated trace/span IDs, and ships them to the daemon
+	// inside the complete upload.
 	Engine *sweep.Engine
 	// Concurrency is how many jobs this worker runs at once (default 1).
 	Concurrency int
@@ -33,12 +35,6 @@ type WorkerOptions struct {
 	Poll time.Duration
 	// Client overrides the HTTP client (tests).
 	Client *http.Client
-
-	// Spans, when set, must be the SpanLog the Engine's SweepObs records
-	// into.  After each run the worker takes the job's span chains out of
-	// it, stamps them with the lease's propagated trace/span IDs, and ships
-	// them to the daemon inside the complete upload.
-	Spans *obs.SpanLog
 
 	// OnLease, when set, runs after each lease grant and before execution.
 	// Returning an error makes the worker abandon the lease and stop dead —
@@ -168,8 +164,8 @@ func (w *Worker) execute(ctx context.Context, lease *LeaseResponse) {
 	// Ship the worker-side span chains for this job, stamped with the
 	// lease's propagated trace context so the daemon can stitch them into
 	// the sweep's cross-process trace.
-	if w.o.Spans != nil {
-		chains := w.o.Spans.TakeByHash(lease.Hash)
+	if spans := w.o.Engine.Obs().Spans(); spans != nil {
+		chains := spans.TakeByHash(lease.Hash)
 		for i := range chains {
 			chains[i].Trace = lease.Trace
 			chains[i].Span = lease.Span

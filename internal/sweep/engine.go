@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,15 +41,18 @@ type Options struct {
 	// Store caches results content-addressed (a *DirStore on disk, a
 	// serve.RemoteStore over HTTP); nil disables caching.
 	Store Store
-	// Progress receives per-job completion lines; nil is silent.
-	Progress *Reporter
+	// Progress receives each Run's start line, one line per completed job
+	// (running counts, cache-hit ratio, failures, ETA) and a finish line,
+	// all read from the observer's grid view; nil is silent.
+	Progress io.Writer
 	// Runner overrides job execution (tests); nil selects the default
 	// simulate-and-verify runner.
 	Runner Runner
 	// Obs receives fleet-level observability signals: metrics, lifecycle
-	// events, per-job spans and live progress.  nil disables every hook at
-	// the cost of one pointer compare — the zero-alloc fast path and
-	// byte-identity pins run with Obs off.
+	// events, per-job spans and live progress.  nil gives the engine its own
+	// metrics-only observer; pass one to share a registry, event sink or
+	// span log with the rest of the process.  The observer is called at job
+	// boundaries only, never inside a simulation.
 	Obs *obs.SweepObs
 }
 
@@ -99,7 +105,15 @@ type Engine struct {
 
 	mu    sync.Mutex
 	preps map[prepKey]*prepEntry
+
+	// progMu orders job completions with their progress lines, so the k/N
+	// counts print in order.
+	progMu sync.Mutex
 }
+
+// Obs returns the engine's observer (the one passed in Options, or the one
+// New built).
+func (e *Engine) Obs() *obs.SweepObs { return e.opts.Obs }
 
 // Tally returns the cumulative simulated cycles and simulator wall time of
 // every live (non-cached) run the default runner has executed on this
@@ -111,23 +125,24 @@ func (e *Engine) Tally() (cycles int64, wall time.Duration) {
 }
 
 // New creates an engine.  The zero Options value is usable: GOMAXPROCS
-// workers, no timeout, no retries, no cache, silent.
+// workers, no timeout, no retries, no cache, silent, metrics-only observer.
 func New(opts Options) *Engine {
 	e := &Engine{opts: opts, preps: make(map[prepKey]*prepEntry)}
 	if e.opts.Runner == nil {
 		e.opts.Runner = e.simulate
 	}
+	if e.opts.Obs == nil {
+		e.opts.Obs = obs.NewSweepObs(time.Now(), nil, nil)
+	}
 	// A store that can report payload corruption feeds the observer's
 	// store_corrupt event; corruption stays a plain miss either way.
-	if e.opts.Obs != nil && e.opts.Store != nil {
-		if h, ok := e.opts.Store.(interface {
-			SetOnCorrupt(func(hash, detail string))
-		}); ok {
-			obs := e.opts.Obs
-			h.SetOnCorrupt(func(hash, detail string) {
-				obs.StoreCorrupt(hash, detail, time.Now())
-			})
-		}
+	if h, ok := e.opts.Store.(interface {
+		SetOnCorrupt(func(hash, detail string))
+	}); ok {
+		observer := e.opts.Obs
+		h.SetOnCorrupt(func(hash, detail string) {
+			observer.StoreCorrupt(hash, detail, time.Now())
+		})
 	}
 	return e
 }
@@ -170,19 +185,11 @@ func (e *Engine) prepare(s JobSpec) (*repro.Prepared, error) {
 // Custom runners simply never look it up and fold prepare into run.
 type spanCtxKey struct{}
 
-// jobSpan returns the job observer threaded through the context, or nil.
-func jobSpan(ctx context.Context) *obs.JobObs {
-	jo, _ := ctx.Value(spanCtxKey{}).(*obs.JobObs)
-	return jo
-}
-
 // simulate is the default runner: memoized prepare, then a verified
 // simulation under the job's context.
 func (e *Engine) simulate(ctx context.Context, spec JobSpec) (*telemetry.Report, error) {
 	p, err := e.prepare(spec)
-	if jo := jobSpan(ctx); jo != nil {
-		jo.Mark(obs.PhasePrepare, time.Now())
-	}
+	ctx.Value(spanCtxKey{}).(*obs.JobObs).Mark(obs.PhasePrepare, time.Now())
 	if err != nil {
 		return nil, err
 	}
@@ -194,9 +201,7 @@ func (e *Engine) simulate(ctx context.Context, spec JobSpec) (*telemetry.Report,
 	wall := time.Since(start)
 	e.simCycles.Add(res.Cycles)
 	e.simWallMicros.Add(wall.Microseconds())
-	if e.opts.Obs != nil {
-		e.opts.Obs.AddSimCycles(res.Cycles)
-	}
+	e.opts.Obs.AddSimCycles(res.Cycles)
 	rep := res.Report()
 	rep.StampWall(wall)
 	return rep, nil
@@ -237,10 +242,6 @@ func (e *Engine) Run(ctx context.Context, specs []JobSpec) (*Summary, error) {
 		g.indices = append(g.indices, i)
 	}
 
-	if e.opts.Progress != nil {
-		e.opts.Progress.begin(len(specs), len(specs)-len(order))
-	}
-
 	workers := e.opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -249,11 +250,13 @@ func (e *Engine) Run(ctx context.Context, specs []JobSpec) (*Summary, error) {
 		workers = len(order)
 	}
 
-	// One Grid handle per Run; nil when observability is off so every hook
-	// below stays a single pointer compare.
-	var grid *obs.Grid
-	if e.opts.Obs != nil {
-		grid = e.opts.Obs.GridBegin(len(specs), len(order), workers, time.Now())
+	grid := e.opts.Obs.GridBegin(len(specs), len(order), workers, time.Now())
+	if e.opts.Progress != nil {
+		if dups := len(specs) - len(order); dups > 0 {
+			fmt.Fprintf(e.opts.Progress, "sweep: %d jobs (%d deduplicated onto identical points)\n", len(specs), dups)
+		} else {
+			fmt.Fprintf(e.opts.Progress, "sweep: %d jobs\n", len(specs))
+		}
 	}
 
 	jobs := make(chan string)
@@ -265,7 +268,9 @@ func (e *Engine) Run(ctx context.Context, specs []JobSpec) (*Summary, error) {
 			defer wg.Done()
 			for h := range jobs {
 				g := groups[h]
-				r := e.executeJob(ctx, specs[g.indices[0]], h, grid, worker, len(g.indices))
+				spec := specs[g.indices[0]]
+				jo := grid.StartJob(worker, spec.Name(), h, len(g.indices), time.Now())
+				r := e.executeJob(ctx, spec, h, jo)
 				resMu.Lock()
 				for gi, idx := range g.indices {
 					rr := r
@@ -279,9 +284,7 @@ func (e *Engine) Run(ctx context.Context, specs []JobSpec) (*Summary, error) {
 					results[idx] = rr
 				}
 				resMu.Unlock()
-				if e.opts.Progress != nil {
-					e.opts.Progress.jobDone(r, len(g.indices))
-				}
+				e.jobDone(grid, jo, r)
 			}
 		}(w)
 	}
@@ -293,9 +296,7 @@ feed:
 		case <-ctx.Done():
 			// The sweep is draining: in-flight jobs finish, the rest of the
 			// queue is abandoned (and recorded as not-run below).
-			if grid != nil {
-				grid.Drain(ctx.Err(), time.Now())
-			}
+			grid.Drain(ctx.Err(), time.Now())
 			break feed
 		}
 	}
@@ -325,37 +326,60 @@ feed:
 			sum.Failed++
 		}
 	}
-	if grid != nil {
-		grid.End(sum.OK, sum.Failed, sum.CacheHits, time.Now())
-	}
+	now := time.Now()
+	grid.End(sum.OK, sum.Failed, sum.CacheHits, now)
 	if e.opts.Progress != nil {
-		e.opts.Progress.finish(sum)
+		v := grid.View(now)
+		fmt.Fprintf(e.opts.Progress, "sweep: done: %d ok (%d cache hits, %d%%), %d failed in %v\n",
+			v.Done-v.Failed, v.Cached, 100*v.Cached/max(v.Total, 1), v.Failed,
+			time.Duration(v.ElapsedMS)*time.Millisecond)
 	}
 	return sum, ctx.Err()
 }
 
-// executeJob runs one unique job: cache probe, then bounded attempts with
-// panic isolation and an optional per-attempt timeout.  When observability
-// is on, the job's lifecycle is recorded as a contiguous span chain
-// (queue-wait, cache-lookup, prepare, run, store-write) plus lifecycle
-// events; copies is how many specs deduplicated onto this execution, so
-// the observer's counters reconcile with the manifest totals.
-func (e *Engine) executeJob(ctx context.Context, spec JobSpec, hash string, grid *obs.Grid, worker, copies int) (res JobResult) {
-	res = JobResult{Spec: spec, Hash: hash}
-	var jo *obs.JobObs
-	if grid != nil {
-		jo = grid.StartJob(worker, spec.Name(), hash, copies, time.Now())
-		defer func() {
-			jo.Done(res.Status, res.CacheHit, res.Attempts, res.Elapsed, time.Now())
-		}()
-		ctx = context.WithValue(ctx, spanCtxKey{}, jo)
+// jobDone closes one unique job in the observer and prints its progress
+// line from the grid view.  One lock covers both, so concurrent workers
+// print their k/N counts in order.
+func (e *Engine) jobDone(grid *obs.Grid, jo *obs.JobObs, r JobResult) {
+	e.progMu.Lock()
+	defer e.progMu.Unlock()
+	now := time.Now()
+	jo.Done(r.Status, r.CacheHit, r.Attempts, r.Elapsed, now)
+	if e.opts.Progress == nil {
+		return
 	}
+	v := grid.View(now)
+	status := "run "
+	switch {
+	case r.Status != StatusOK:
+		status = "FAIL"
+	case r.CacheHit:
+		status = "hit "
+	}
+	line := fmt.Sprintf("sweep: %*d/%d %s %-28s %8s", len(strconv.Itoa(v.Total)), v.Done, v.Total,
+		status, r.Spec.Name(), time.Duration(r.Elapsed)*time.Millisecond)
+	if v.EtaMS > 0 {
+		line += "  eta " + (time.Duration(v.EtaMS) * time.Millisecond).Round(time.Second).String()
+	}
+	line += fmt.Sprintf("  (hits %d%%, failures %d)", 100*v.Cached/max(v.Done, 1), v.Failed)
+	if r.Status != StatusOK {
+		first, _, _ := strings.Cut(r.Error, "\n")
+		line += "\n  " + first
+	}
+	fmt.Fprintln(e.opts.Progress, line)
+}
+
+// executeJob runs one unique job: cache probe, then bounded attempts with
+// panic isolation and an optional per-attempt timeout.  jo records the
+// job's lifecycle as a contiguous span chain (queue-wait, cache-lookup,
+// prepare, run, store-write) plus lifecycle events; the caller closes it.
+func (e *Engine) executeJob(ctx context.Context, spec JobSpec, hash string, jo *obs.JobObs) JobResult {
+	res := JobResult{Spec: spec, Hash: hash}
+	ctx = context.WithValue(ctx, spanCtxKey{}, jo)
 
 	if e.opts.Store != nil {
 		rec, err := e.opts.Store.Get(hash)
-		if jo != nil {
-			jo.Mark(obs.PhaseCacheLookup, time.Now())
-		}
+		jo.Mark(obs.PhaseCacheLookup, time.Now())
 		if err == nil && rec != nil {
 			res.Status = StatusOK
 			res.CacheHit = true
@@ -371,9 +395,7 @@ func (e *Engine) executeJob(ctx context.Context, spec JobSpec, hash string, grid
 		res.Attempts = a
 		rep, err := e.attempt(ctx, spec)
 		if err == nil {
-			if jo != nil {
-				jo.Mark(obs.PhaseRun, time.Now())
-			}
+			jo.Mark(obs.PhaseRun, time.Now())
 			res.Status = StatusOK
 			res.Report = rep
 			res.Elapsed = time.Since(start).Milliseconds()
@@ -387,31 +409,25 @@ func (e *Engine) executeJob(ctx context.Context, spec JobSpec, hash string, grid
 					// A write failure degrades the cache, not the sweep.
 					res.Error = fmt.Sprintf("cache write failed: %v", perr)
 				}
-				if jo != nil {
-					jo.StoreWrite(perr == nil, time.Now())
-				}
+				jo.StoreWrite(perr == nil, time.Now())
 			}
 			return res
 		}
 		lastErr = err
-		if jo != nil {
-			var pe *panicError
-			if errors.As(err, &pe) {
-				jo.Panic(a, err, time.Now())
-			}
-			if a < attempts && ctx.Err() == nil {
-				jo.Retry(a, err, time.Now())
-			}
+		var pe *panicError
+		if errors.As(err, &pe) {
+			jo.Panic(a, err, time.Now())
+		}
+		if a < attempts && ctx.Err() == nil {
+			jo.Retry(a, err, time.Now())
 		}
 		if ctx.Err() != nil {
 			// The sweep itself is over; don't burn retries on it.
 			break
 		}
 	}
-	if jo != nil {
-		// Close the final failed attempt's run span.
-		jo.Mark(obs.PhaseRun, time.Now())
-	}
+	// Close the final failed attempt's run span.
+	jo.Mark(obs.PhaseRun, time.Now())
 	res.Status = StatusFailed
 	res.Error = lastErr.Error()
 	res.Elapsed = time.Since(start).Milliseconds()

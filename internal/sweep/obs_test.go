@@ -305,50 +305,3 @@ func TestEngineObsOffMatchesOn(t *testing.T) {
 		}
 	}
 }
-
-// TestReporterRollingETA pins that the reporter's ETA follows the recent
-// completion rate: slow early jobs followed by fast ones must not leave the
-// ETA stuck at the cumulative mean.
-func TestReporterRollingETA(t *testing.T) {
-	var out bytes.Buffer
-	r := NewReporter(&out, 1)
-	r.begin(40, 0)
-	// 35 computed completions recorded "now": the window rate is high, so
-	// the remaining 5 jobs extrapolate to a small ETA even though each job
-	// claims 10s of compute time (cumulative mean would say ~50s).
-	for i := 0; i < 35; i++ {
-		r.jobDone(JobResult{Spec: JobSpec{Workload: "vecsum"}, Status: StatusOK, Elapsed: 10_000}, 1)
-	}
-	r.mu.Lock()
-	d, ok := r.etaLocked()
-	r.mu.Unlock()
-	if !ok {
-		t.Fatal("eta unavailable")
-	}
-	if d > 10*time.Second {
-		t.Errorf("eta = %v; rolling-window estimate should beat the 50s cumulative mean", d)
-	}
-	if !bytes.Contains(out.Bytes(), []byte("eta")) {
-		t.Error("progress lines carry no eta")
-	}
-}
-
-// TestReporterFinishHitRate pins the cache-hit percentage in the summary
-// line alongside the counts the older tests grep for.
-func TestReporterFinishHitRate(t *testing.T) {
-	var out bytes.Buffer
-	r := NewReporter(&out, 1)
-	r.begin(4, 0)
-	sum := &Summary{
-		Jobs:      make([]JobResult, 4),
-		OK:        3,
-		Failed:    1,
-		CacheHits: 2,
-		Elapsed:   3 * time.Second,
-	}
-	r.finish(sum)
-	line := out.String()
-	if want := "3 ok (2 cache hits, 50%), 1 failed"; !bytes.Contains([]byte(line), []byte(want)) {
-		t.Errorf("finish line %q missing %q", line, want)
-	}
-}
