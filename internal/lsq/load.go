@@ -1,6 +1,9 @@
 package lsq
 
 import (
+	"slices"
+
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/predictor"
 )
@@ -28,6 +31,7 @@ func (q *Queue) LoadTry(now int64, k Key, addr uint64, tag core.Tag) LoadResult 
 	first := !q.exec[s].Test(op)
 	q.exec[s].Set(op)
 	q.addr[f] = addr
+	q.loadSig[s] |= sigOf(addr, int(q.size[f]))
 	if first {
 		q.Stats.Loads++
 	}
@@ -41,10 +45,7 @@ func (q *Queue) LoadTry(now int64, k Key, addr uint64, tag core.Tag) LoadResult 
 func (q *Queue) tryIssue(now int64, k Key, s, op int) LoadResult {
 	f := s*opStride + op
 	if reason := q.mustDefer(k, s, op); reason != DeferNone {
-		if !q.parked[s].Test(op) {
-			q.parked[s].Set(op)
-			q.deferred = append(q.deferred, k)
-		}
+		q.park(k, s, op, reason)
 		if reason == DeferPolicy {
 			q.Stats.DeferredPolicy++
 		} else {
@@ -61,10 +62,7 @@ func (q *Queue) tryIssue(now int64, k Key, s, op int) LoadResult {
 		clat, ok := q.hier.DataAccess(now, q.addr[f], false)
 		if !ok {
 			// All MSHRs busy: park and retry as time passes.
-			if !q.parked[s].Test(op) {
-				q.parked[s].Set(op)
-				q.deferred = append(q.deferred, k)
-			}
+			q.park(k, s, op, DeferMSHR)
 			q.mshrWait = true
 			q.Stats.DeferredMSHR++
 			return LoadResult{Deferred: true, Reason: DeferMSHR}
@@ -84,16 +82,66 @@ func (q *Queue) tryIssue(now int64, k Key, s, op int) LoadResult {
 	return LoadResult{Value: v, Tag: q.tag[f], Latency: lat, PC: q.pc[f]}
 }
 
+// park adds a list entry for a load that was not parked.  A policy-deferred
+// load whose only entry this is goes straight to sleep; any other entry
+// joins the active list, which is in park order because stamps only grow.
+func (q *Queue) park(k Key, s, op int, reason DeferReason) {
+	if q.parked[s].Test(op) {
+		return // already holds an entry
+	}
+	q.parked[s].Set(op)
+	f := s*opStride + op
+	q.nent[f]++
+	stamp := q.parkSeq
+	q.parkSeq++
+	if reason == DeferPolicy && q.nent[f] == 1 {
+		q.sleep(s, op, stamp)
+		return
+	}
+	q.active = append(q.active, parkEntry{stamp: stamp, k: k})
+}
+
+// sleep takes a policy-deferred load with a single list entry out of the
+// scans until the condition that deferred it can have changed.  Guarded
+// loads and the conservative policy wait for every older store to execute;
+// store-set and oracle loads wait for their store's first execution (the
+// load is on that store's waiter list since registration).
+func (q *Queue) sleep(s, op int, stamp uint32) {
+	q.pstamp[s*opStride+op] = stamp
+	if q.guarded[s].Test(op) || q.cfg.Policy == core.IssueConservative {
+		q.sleepOld[s].Set(op)
+	} else {
+		q.sleepWait[s].Set(op)
+	}
+	q.nsleep++
+}
+
+// wake hands the sleepers in mask m of block slot s to the next scan.
+func (q *Queue) wake(s int, m bitset.Mask32) {
+	for !m.Empty() {
+		i := m.Min()
+		m.Clear(i)
+		q.woken = append(q.woken, parkEntry{stamp: q.pstamp[s*opStride+i], k: Key{Seq: q.seqs[s], LSID: int8(i)}})
+		q.nsleep--
+	}
+}
+
 // GuardLoad marks a flushed violating load: its replayed instance (same
-// dynamic key) issues conservatively, guaranteeing forward progress.
+// dynamic key) issues conservatively, guaranteeing forward progress.  The
+// load must be resident (the simulator guards the loads a store update
+// just reported, then squashes them).
 func (q *Queue) GuardLoad(k Key) {
-	q.guard[k] = true
+	if s, op := q.opSlot(k); s >= 0 {
+		q.guarded[s].Set(op)
+	}
 	q.Stats.GuardedLoads++
 }
 
 // mustDefer evaluates the issue policy for a load whose address is known.
+// Every deferral it reports is monotone: it can only clear when a store
+// first executes, which is what lets a parked load sleep.
 func (q *Queue) mustDefer(k Key, s, op int) DeferReason {
-	if q.guard[k] && q.anyOlderStoreUnexecuted(k) {
+	if q.guarded[s].Test(op) && q.anyOlderStoreUnexecuted(k) {
 		return DeferPolicy
 	}
 	switch q.cfg.Policy {
@@ -105,46 +153,69 @@ func (q *Queue) mustDefer(k Key, s, op int) DeferReason {
 		}
 		return DeferNone
 	case core.IssueStoreSet, core.IssueOracle:
-		f := s*opStride + op
-		if !q.waitValid[s].Test(op) || !q.waitFor[f].Valid() {
-			return DeferNone
+		if q.waitValid[s].Test(op) && q.waitStore(k, s*opStride+op) >= 0 {
+			return DeferPolicy
 		}
-		w := Key{Seq: q.waitFor[f].Seq, LSID: q.waitFor[f].LSID}
-		if !w.Less(k) {
-			return DeferNone // not actually older; ignore
-		}
-		ws, wop := q.opSlot(w)
-		if ws < 0 || !q.stores[ws].Test(wop) || q.exec[ws].Test(wop) {
-			return DeferNone // gone from the window, or already executed
-		}
-		return DeferPolicy
 	}
 	return DeferNone
 }
 
 // anyOlderStoreUnexecuted reports whether some store older than k in the
-// window has not yet executed: one AND-NOT word test per block (the
-// bitmap replacement for the old per-entry scan).
+// window has not yet executed: a comparison against the unexecuted-store
+// frontier.
 func (q *Queue) anyOlderStoreUnexecuted(k Key) bool {
-	if q.n == 0 {
+	switch {
+	case q.unexecSeq < k.Seq:
+		return true
+	case q.unexecSeq > k.Seq:
 		return false
 	}
-	base := q.seqs[q.head]
-	last := k.Seq - base
-	if last >= int64(q.n) {
-		last = int64(q.n) - 1
-	}
-	for l := int64(0); l <= last; l++ {
-		s := (q.head + int(l)) & q.ringMask()
+	s := q.slot(k.Seq)
+	return !(q.stores[s] &^ q.exec[s]).Below(int(k.LSID)).Empty()
+}
+
+// advanceUnexec moves the unexecuted-store frontier past blocks whose
+// stores have all executed, waking the loads sleeping on it that it passes.
+// Called when a store in the frontier block executes and when the frontier
+// block is registered.
+func (q *Queue) advanceUnexec() {
+	for {
+		s := q.slot(q.unexecSeq)
+		if s < 0 {
+			return // every store has executed
+		}
 		pend := q.stores[s] &^ q.exec[s]
-		if base+l == k.Seq {
-			pend = pend.Below(int(k.LSID))
-		}
 		if !pend.Empty() {
-			return true
+			if m := q.sleepOld[s].Below(pend.Min()); !m.Empty() {
+				q.sleepOld[s] &^= m
+				q.wake(s, m)
+			}
+			return
+		}
+		if m := q.sleepOld[s]; !m.Empty() {
+			q.sleepOld[s] = 0
+			q.wake(s, m)
+		}
+		q.unexecSeq++
+	}
+}
+
+// storeExecuted wakes what a store's first execution (or nullification)
+// releases: the loads on its waiter list that sleep on it, and — when it
+// was in the frontier block — the loads the frontier passes.
+func (q *Queue) storeExecuted(k Key, s, op int) {
+	f := s*opStride + op
+	for w := q.link[f]; w >= 0; w = q.link[w] {
+		ws, wop := int(w)/opStride, int(w)%opStride
+		if q.sleepWait[ws].Test(wop) {
+			q.sleepWait[ws].Clear(wop)
+			q.wake(ws, bitset.Mask32(1)<<wop)
 		}
 	}
-	return false
+	q.link[f] = -1
+	if k.Seq == q.unexecSeq {
+		q.advanceUnexec()
+	}
 }
 
 // HasReadyWork reports whether the next TakeReady call will re-evaluate
@@ -152,7 +223,7 @@ func (q *Queue) anyOlderStoreUnexecuted(k Key) bool {
 // run loop uses it to classify a cycle as active: a re-evaluation scan can
 // issue loads or count deferral retries even when it returns nothing.
 func (q *Queue) HasReadyWork() bool {
-	return (q.dirty || q.mshrWait) && len(q.deferred) > 0
+	return (q.dirty || q.mshrWait) && len(q.active)+len(q.woken)+q.nsleep > 0
 }
 
 // TakeReady re-evaluates parked loads and returns those that can now issue,
@@ -160,6 +231,10 @@ func (q *Queue) HasReadyWork() bool {
 // must be consumed before the next call).  Call once per cycle; it is cheap
 // when nothing changed.  Loads parked on a full MSHR file are retried every
 // cycle regardless of queue events.
+//
+// Only the active and woken entries are re-evaluated, in park order (so
+// MSHR allocation order is the list's).  Each sleeper would have deferred
+// again and counted one policy deferral; that count is added in bulk.
 func (q *Queue) TakeReady(now int64, buf []ReadyLoad) []ReadyLoad {
 	if !q.HasReadyWork() {
 		q.dirty = false
@@ -167,22 +242,61 @@ func (q *Queue) TakeReady(now int64, buf []ReadyLoad) []ReadyLoad {
 	}
 	q.dirty = false
 	q.mshrWait = false
+	q.Stats.DeferredPolicy += int64(q.nsleep)
+	entries := q.active
+	if len(q.woken) > 0 {
+		entries = q.mergeWoken()
+	}
 	out := buf
-	kept := q.deferred[:0]
-	for _, k := range q.deferred {
-		s, op := q.opSlot(k)
-		if s < 0 || !q.parked[s].Test(op) {
-			continue // squashed or already issued
+	kept := q.active[:0]
+	for _, e := range entries {
+		s, op := q.opSlot(e.k)
+		if s < 0 {
+			continue // squashed or drained
 		}
-		r := q.tryIssue(now, k, s, op)
-		if r.Deferred {
-			kept = append(kept, k)
+		f := s*opStride + op
+		if !q.parked[s].Test(op) {
+			q.nent[f]-- // issued since it parked
 			continue
 		}
-		out = append(out, ReadyLoad{Load: k, Addr: q.addr[s*opStride+op], Res: r})
+		r := q.tryIssue(now, e.k, s, op)
+		if r.Deferred {
+			if r.Reason == DeferPolicy && q.nent[f] == 1 {
+				q.sleep(s, op, e.stamp)
+			} else {
+				kept = append(kept, e)
+			}
+			continue
+		}
+		q.nent[f]--
+		out = append(out, ReadyLoad{Load: e.k, Addr: q.addr[f], Res: r})
 	}
-	q.deferred = kept
+	q.active = kept
 	return out
+}
+
+// mergeWoken merges the woken entries into the active list by park stamp,
+// into the merged scratch buffer.
+func (q *Queue) mergeWoken() []parkEntry {
+	slices.SortFunc(q.woken, func(a, b parkEntry) int {
+		if before(a.stamp, b.stamp) {
+			return -1
+		}
+		return 1
+	})
+	m := q.merged[:0]
+	a, w := q.active, q.woken
+	for len(a) > 0 && len(w) > 0 {
+		if before(a[0].stamp, w[0].stamp) {
+			m, a = append(m, a[0]), a[1:]
+		} else {
+			m, w = append(m, w[0]), w[1:]
+		}
+	}
+	m = append(append(m, a...), w...)
+	q.woken = q.woken[:0]
+	q.merged = m
+	return m
 }
 
 // LoadInputsCommitted marks that the load's address operands are final (the
@@ -194,7 +308,8 @@ func (q *Queue) LoadInputsCommitted(k Key) {
 		return
 	}
 	q.inputsCom[s].Set(op)
-	q.certCand = append(q.certCand, k)
+	q.cstamp[s*opStride+op] = q.candSeq
+	q.candSeq++
 	q.dirty = true
 	q.certDirty = true
 }
@@ -208,42 +323,70 @@ type CertifiedLoad struct {
 
 // TakeCertifiable returns loads that are newly certifiable: issued, address
 // final, and every older store committed — appending into buf (pass buf[:0]
-// to reuse a scratch buffer).  The returned value is asserted equal to the
-// load's current value — every store update re-checked younger loads, so a
-// mismatch here would be a protocol bug.
+// to reuse a scratch buffer) in the order they became candidates.  The
+// returned value is asserted equal to the load's current value — every
+// store update re-checked younger loads, so a mismatch here would be a
+// protocol bug.
+//
+// The scan first finds the unresolved-store frontier: the oldest
+// uncommitted store whose address is not final.  A load younger than it
+// cannot certify, so only the candidates (inputs committed, issued, not yet
+// certified) older than the frontier are checked.
 func (q *Queue) TakeCertifiable(buf []CertifiedLoad) []CertifiedLoad {
-	if len(q.certCand) == 0 || !q.certDirty {
-		// Nothing to certify, or nothing relevant changed since the last
-		// scan: skipping is behaviour-identical (a yield-less scan moves no
-		// statistics) and avoids the O(candidates × stores) walk.
+	if !q.certDirty {
+		// Nothing relevant changed since the last scan: skipping is
+		// behaviour-identical (a yield-less scan moves no statistics).
 		return buf
 	}
 	q.certDirty = false
 	out := buf
-	kept := q.certCand[:0]
-	for _, k := range q.certCand {
-		s, op := q.opSlot(k)
-		if s < 0 {
-			continue
+	base := q.seqs[q.head]
+	for l := 0; l < q.n; l++ {
+		s := (q.head + l) & q.ringMask()
+		cand := q.inputsCom[s] & q.issued[s] &^ q.certified[s]
+		unresolved := q.stores[s] &^ q.committed[s] &^ q.safeAddr(s)
+		if !unresolved.Empty() {
+			cand = cand.Below(unresolved.Min())
 		}
-		if q.certified[s].Test(op) {
-			continue
+		fb := s * opStride
+		for m := cand; !m.Empty(); {
+			i := m.Min()
+			m.Clear(i)
+			k := Key{Seq: base + int64(l), LSID: int8(i)}
+			laddr, lsize := q.addr[fb+i], int(q.size[fb+i])
+			if !q.olderStoresSafe(k, laddr, lsize) {
+				continue
+			}
+			v, _ := q.reconstruct(k, laddr, lsize)
+			if v != q.data[fb+i] {
+				panic("lsq: certification value mismatch for " + k.String() + " (missed violation)")
+			}
+			q.certified[s].Set(i)
+			out = append(out, CertifiedLoad{Load: k, Addr: laddr, Value: v})
 		}
-		f := s*opStride + op
-		laddr, lsize := q.addr[f], int(q.size[f])
-		if !q.issued[s].Test(op) || !q.olderStoresSafe(k, laddr, lsize) {
-			kept = append(kept, k)
-			continue
+		if !unresolved.Empty() {
+			break
 		}
-		v, _ := q.reconstruct(k, laddr, lsize)
-		if v != q.data[f] {
-			panic("lsq: certification value mismatch for " + k.String() + " (missed violation)")
-		}
-		q.certified[s].Set(op)
-		out = append(out, CertifiedLoad{Load: k, Addr: laddr, Value: v})
 	}
-	q.certCand = kept
+	// Report in candidate-arrival order (insertion sort: yields are tiny).
+	for i := len(buf) + 1; i < len(out); i++ {
+		for j := i; j > len(buf) && before(q.candStamp(out[j].Load), q.candStamp(out[j-1].Load)); j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
 	return out
+}
+
+// candStamp is a resident candidate's arrival stamp.
+func (q *Queue) candStamp(k Key) uint32 {
+	s, op := q.opSlot(k)
+	return q.cstamp[s*opStride+op]
+}
+
+// safeAddr is the block's stores whose address is final and live: executed
+// with a committed address operand, and not nullified.
+func (q *Queue) safeAddr(s int) bitset.Mask32 {
+	return q.addrCom[s] & q.exec[s] &^ q.null[s]
 }
 
 // olderStoresSafe reports whether no older store can still change the
@@ -254,9 +397,11 @@ func (q *Queue) TakeCertifiable(buf []CertifiedLoad) []CertifiedLoad {
 //
 // The scan is mask-first: per block, the uncommitted-store candidates are
 // one AND-NOT, the "address provably final and live" filter is one more
-// word expression, and only candidates surviving both reach the per-bit
+// word expression, the store-address signature rules out the block with
+// one AND, and only candidates surviving all three reach the per-bit
 // address-overlap check.
 func (q *Queue) olderStoresSafe(k Key, laddr uint64, lsize int) bool {
+	lsig := sigOf(laddr, lsize)
 	base := q.seqs[q.head]
 	for l := int64(0); ; l++ {
 		bseq := base + l
@@ -271,9 +416,11 @@ func (q *Queue) olderStoresSafe(k Key, laddr uint64, lsize int) bool {
 		if cand.Empty() {
 			continue
 		}
-		safeAddr := q.addrCom[s] & q.exec[s] &^ q.null[s]
-		if !(cand &^ safeAddr).Empty() {
+		if !(cand &^ q.safeAddr(s)).Empty() {
 			return false
+		}
+		if q.storeSig[s]&lsig == 0 {
+			continue
 		}
 		fb := s * opStride
 		for m := cand; !m.Empty(); {

@@ -26,10 +26,24 @@
 // "seq − base" arithmetic, never a map.  Per-op dynamic state lives in one
 // bitset.Mask32 per block per predicate (declared-store, executed, null,
 // committed, issued, ...) plus flat stride-32 arrays for the word-sized
-// fields (addr, data, tag, ...).  Certification and alias search walk only
-// set bits (bits.TrailingZeros under the hood) instead of scanning every
-// entry, and the policy predicate "any older store unexecuted" collapses
-// to one AND-NOT word test per block.
+// fields (addr, data, tag, ...).  Walks touch only set bits.
+//
+// Host cost follows simulated work, not window depth (the scalable
+// disambiguation scheme of Sethumadhavan et al., MICRO-36 2003):
+//
+//   - certification walks candidates only up to the unresolved-store
+//     frontier — the oldest uncommitted store whose address is not final —
+//     since no younger load can certify;
+//   - a policy-parked load sleeps until its wait condition can have
+//     changed (its predicted store's first execution, or the oldest
+//     unexecuted store moving past it) instead of being re-evaluated every
+//     scan; the deferral count it would have accrued is added in bulk;
+//   - per-block 64-bit load- and store-address signatures (one bit per
+//     hashed 8-byte word) let violation recheck, forwarding and the alias
+//     check skip a block with one AND.
+//
+// ref_test.go keeps the direct walks as a reference queue and checks this
+// one against it on randomized operation streams.
 package lsq
 
 import (
@@ -158,8 +172,23 @@ type Queue struct {
 	issued    []bitset.Mask32 // load produced a value
 	certified []bitset.Mask32 // load certified (value final)
 	inputsCom []bitset.Mask32 // load address operands committed
-	parked    []bitset.Mask32 // load on the deferred list
+	parked    []bitset.Mask32 // load deferred, awaiting re-evaluation
 	waitValid []bitset.Mask32 // waitFor captured at registration
+	sleepWait []bitset.Mask32 // parked until waitFor's first execution
+	sleepOld  []bitset.Mask32 // parked until every older store executed
+	// guarded holds loads that violated and were flushed: their refetched
+	// instances (same key) replay conservatively, which is what keeps
+	// flush recovery livelock-free when a load conflicts with a store in
+	// its own block.  Unlike the rest it survives SquashFrom and the
+	// re-registration of the same sequence (which lands in the same slot);
+	// Drain clears it.
+	guarded []bitset.Mask32
+
+	// Address signatures: one bit per hashed 8-byte word (sigOf) of every
+	// address a block's loads / stores have had since registration.  A
+	// superset, so an empty AND proves no overlap.
+	loadSig  []uint64
+	storeSig []uint64
 
 	// Flat per-op fields, stride opStride, indexed slot*opStride + LSID.
 	addr    []uint64
@@ -168,12 +197,43 @@ type Queue struct {
 	size    []uint8
 	pc      []predictor.PC
 	waitFor []predictor.DynRef
+	// link threads each store's waiter list through the op arrays: for a
+	// store, the first load whose waitFor names it (registered while the
+	// store was unexecuted); for a load, the next waiter of the same store;
+	// -1 ends a list.  Lists are youngest-first (loads prepend at
+	// registration), so a squash pops a prefix.
+	link []int32
+	// nent counts the load's entries in the parked list (see active
+	// below); pstamp is a sleeping load's entry position.
+	nent   []uint8
+	pstamp []uint32
+	// cstamp orders certification candidates by arrival, the order
+	// TakeCertifiable reports them in.
+	cstamp []uint32
 
 	resident int // ops across blocks (occupancy is read every cycle)
 
-	deferred []Key // parked loads, re-evaluated when dirty
+	// Parked loads.  They form a list — one entry per park, in park
+	// order, pruned at each TakeReady scan — but only entries whose
+	// outcome can change are held: a sleeper (a policy-parked load with a
+	// single entry, sleepWait or sleepOld set) keeps its entry position in
+	// pstamp and is counted in nsleep; woken holds the sleepers whose wait
+	// resolved since the last scan; active holds every other entry
+	// (MSHR-parked loads, loads with several entries, and entries of loads
+	// that issued since, which the next scan drops).
+	active   []parkEntry
+	woken    []parkEntry
+	merged   []parkEntry // TakeReady scratch
+	nsleep   int
+	parkSeq  uint32
+	candSeq  uint32
 	dirty    bool
 	mshrWait bool // some load parked on MSHR pressure; retry every cycle
+
+	// unexecSeq is the block holding the oldest unexecuted store, or one
+	// past the youngest block when every store has executed: the frontier
+	// that the conservative and guarded policies wait on.
+	unexecSeq int64
 
 	// certDirty gates TakeCertifiable's scan: a parked certification
 	// candidate can only become certifiable when a store commits, executes,
@@ -183,20 +243,22 @@ type Queue struct {
 	// behaviour-identical and avoids a rescan per cycle.
 	certDirty bool
 
-	// guard holds dynamic loads that violated and were flushed: their
-	// refetched instances (same key) replay conservatively, which is what
-	// keeps flush recovery livelock-free when a load conflicts with a
-	// store in its own block.
-	guard map[Key]bool
-
-	certCand []Key // loads awaiting certification
-
 	// ValidateDrain, when set (tests), is called for every drained store
 	// with its final address and data; an error aborts the run loudly.
 	ValidateDrain func(k Key, addr uint64, data int64, size int) error
 
 	Stats Stats
 }
+
+// parkEntry is one entry of the parked-load list.
+type parkEntry struct {
+	stamp uint32 // park order
+	k     Key
+}
+
+// before orders park and candidate stamps; the difference form survives
+// counter wrap-around (live stamps span far less than 2^31).
+func before(a, b uint32) bool { return int32(a-b) < 0 }
 
 // New builds a queue.  mem holds committed state; hier provides data-side
 // timing; tags allocates violation wave tags; ss and oracle may be nil when
@@ -215,7 +277,6 @@ func New(cfg Config, m *mem.Memory, hier *cache.Hierarchy, tags *core.TagSource,
 		tags:   tags,
 		ss:     ss,
 		oracle: oracle,
-		guard:  make(map[Key]bool),
 	}
 	q.grow(16)
 	return q
@@ -227,7 +288,7 @@ func (q *Queue) grow(c int) {
 	old := *q
 	q.seqs = make([]int64, c)
 	q.nops = make([]uint8, c)
-	masks := make([]bitset.Mask32, 11*c)
+	masks := make([]bitset.Mask32, 14*c)
 	q.stores, masks = masks[:c:c], masks[c:]
 	q.exec, masks = masks[:c:c], masks[c:]
 	q.null, masks = masks[:c:c], masks[c:]
@@ -238,15 +299,25 @@ func (q *Queue) grow(c int) {
 	q.certified, masks = masks[:c:c], masks[c:]
 	q.inputsCom, masks = masks[:c:c], masks[c:]
 	q.parked, masks = masks[:c:c], masks[c:]
-	q.waitValid = masks[:c:c]
+	q.waitValid, masks = masks[:c:c], masks[c:]
+	q.sleepWait, masks = masks[:c:c], masks[c:]
+	q.sleepOld, masks = masks[:c:c], masks[c:]
+	q.guarded = masks[:c:c]
+	sigs := make([]uint64, 2*c)
+	q.loadSig, q.storeSig = sigs[:c:c], sigs[c:]
 	q.addr = make([]uint64, c*opStride)
 	q.data = make([]int64, c*opStride)
 	q.tag = make([]core.Tag, c*opStride)
 	q.size = make([]uint8, c*opStride)
 	q.pc = make([]predictor.PC, c*opStride)
 	q.waitFor = make([]predictor.DynRef, c*opStride)
+	q.link = make([]int32, c*opStride)
+	q.nent = make([]uint8, c*opStride)
+	stamps := make([]uint32, 2*c*opStride)
+	q.pstamp, q.cstamp = stamps[:c*opStride:c*opStride], stamps[c*opStride:]
+	oldMask := len(old.seqs) - 1
 	for l := 0; l < old.n; l++ {
-		s := (old.head + l) & (len(old.seqs) - 1)
+		s := (old.head + l) & oldMask
 		q.seqs[l] = old.seqs[s]
 		q.nops[l] = old.nops[s]
 		q.stores[l] = old.stores[s]
@@ -260,13 +331,34 @@ func (q *Queue) grow(c int) {
 		q.inputsCom[l] = old.inputsCom[s]
 		q.parked[l] = old.parked[s]
 		q.waitValid[l] = old.waitValid[s]
-		copy(q.addr[l*opStride:(l+1)*opStride], old.addr[s*opStride:(s+1)*opStride])
-		copy(q.data[l*opStride:(l+1)*opStride], old.data[s*opStride:(s+1)*opStride])
-		copy(q.tag[l*opStride:(l+1)*opStride], old.tag[s*opStride:(s+1)*opStride])
-		copy(q.size[l*opStride:(l+1)*opStride], old.size[s*opStride:(s+1)*opStride])
-		copy(q.pc[l*opStride:(l+1)*opStride], old.pc[s*opStride:(s+1)*opStride])
-		copy(q.waitFor[l*opStride:(l+1)*opStride], old.waitFor[s*opStride:(s+1)*opStride])
+		q.sleepWait[l] = old.sleepWait[s]
+		q.sleepOld[l] = old.sleepOld[s]
+		q.guarded[l] = old.guarded[s]
+		q.loadSig[l] = old.loadSig[s]
+		q.storeSig[l] = old.storeSig[s]
+		src, dst := s*opStride, l*opStride
+		copy(q.addr[dst:dst+opStride], old.addr[src:src+opStride])
+		copy(q.data[dst:dst+opStride], old.data[src:src+opStride])
+		copy(q.tag[dst:dst+opStride], old.tag[src:src+opStride])
+		copy(q.size[dst:dst+opStride], old.size[src:src+opStride])
+		copy(q.pc[dst:dst+opStride], old.pc[src:src+opStride])
+		copy(q.waitFor[dst:dst+opStride], old.waitFor[src:src+opStride])
+		copy(q.nent[dst:dst+opStride], old.nent[src:src+opStride])
+		copy(q.pstamp[dst:dst+opStride], old.pstamp[src:src+opStride])
+		copy(q.cstamp[dst:dst+opStride], old.cstamp[src:src+opStride])
+		// Links name physical op indices: relocate them with their slots.
+		// Every reachable link names a resident op; the rest are dead and
+		// never followed, so relocating them too is harmless.
+		for i := 0; i < opStride; i++ {
+			v := old.link[src+i]
+			if v >= 0 {
+				v = int32(((int(v)/opStride-old.head)&oldMask)*opStride + int(v)%opStride)
+			}
+			q.link[dst+i] = v
+		}
 	}
+	// Every slot is live when the ring is full, so no guarded bits of a
+	// squashed, not yet re-registered sequence are left behind.
 	q.head = 0
 }
 
@@ -309,6 +401,8 @@ func (q *Queue) RegisterBlock(seq int64, ops []OpInfo) {
 		if seq != last+1 {
 			panic(fmt.Sprintf("lsq: block %d not contiguous after %d", seq, last))
 		}
+	} else {
+		q.unexecSeq = seq
 	}
 	if q.n == len(q.seqs) {
 		q.grow(2 * len(q.seqs))
@@ -321,17 +415,22 @@ func (q *Queue) RegisterBlock(seq int64, ops []OpInfo) {
 	q.committed[s], q.addrCom[s], q.dataCom[s] = 0, 0, 0
 	q.issued[s], q.certified[s], q.inputsCom[s] = 0, 0, 0
 	q.parked[s], q.waitValid[s] = 0, 0
+	q.sleepWait[s], q.sleepOld[s] = 0, 0
+	q.loadSig[s], q.storeSig[s] = 0, 0
 	base := s * opStride
 	end := base + len(ops)
 	clear(q.addr[base:end])
 	clear(q.data[base:end])
 	clear(q.tag[base:end])
+	clear(q.nent[base:end])
 	for i, op := range ops {
 		if int(op.LSID) != i {
 			panic(fmt.Sprintf("lsq: block %d ops not dense at %d", seq, i))
 		}
-		q.size[base+i] = uint8(op.Size)
-		q.pc[base+i] = op.PC
+		f := base + i
+		q.size[f] = uint8(op.Size)
+		q.pc[f] = op.PC
+		q.link[f] = -1
 		ref := predictor.DynRef{Seq: seq, LSID: op.LSID}
 		// Dependence capture happens here, in LSID (dispatch) order, so a
 		// load's LFST lookup sees exactly the stores older than it — the
@@ -342,18 +441,51 @@ func (q *Queue) RegisterBlock(seq int64, ops []OpInfo) {
 			if q.ss != nil {
 				q.ss.StoreFetched(op.PC, ref)
 			}
+			continue
 		case q.cfg.Policy == core.IssueStoreSet && q.ss != nil:
-			q.waitFor[base+i] = q.ss.LoadDependence(op.PC)
+			q.waitFor[f] = q.ss.LoadDependence(op.PC)
 			q.waitValid[s].Set(i)
 		case q.cfg.Policy == core.IssueOracle && q.oracle != nil:
-			q.waitFor[base+i] = q.oracle.LoadDependence(ref)
+			q.waitFor[f] = q.oracle.LoadDependence(ref)
 			q.waitValid[s].Set(i)
+		default:
+			continue
+		}
+		// A load that may wait on its store joins that store's waiter
+		// list now: the wait predicate can only turn false when the store
+		// first executes, which is when the list is woken.
+		if wf := q.waitStore(Key{Seq: seq, LSID: op.LSID}, f); wf >= 0 {
+			q.link[f] = q.link[wf]
+			q.link[wf] = int32(f)
 		}
 	}
 	q.resident += len(ops)
 	if q.resident > q.Stats.PeakOccupancy {
 		q.Stats.PeakOccupancy = q.resident
 	}
+	if q.unexecSeq == seq {
+		q.advanceUnexec()
+	}
+}
+
+// waitStore returns the flat index of the store load k (at flat index f)
+// is told to wait for, when that store is older, resident, declared a store
+// and still unexecuted; -1 otherwise.  This is the store-set/oracle
+// deferral predicate.
+func (q *Queue) waitStore(k Key, f int) int {
+	w := q.waitFor[f]
+	if !w.Valid() {
+		return -1
+	}
+	wk := Key{Seq: w.Seq, LSID: w.LSID}
+	if !wk.Less(k) {
+		return -1 // not actually older; ignore
+	}
+	ws, wop := q.opSlot(wk)
+	if ws < 0 || !q.stores[ws].Test(wop) || q.exec[ws].Test(wop) {
+		return -1 // gone from the window, or already executed
+	}
+	return ws*opStride + wop
 }
 
 func (q *Queue) occupancy() int { return q.resident }
@@ -365,30 +497,59 @@ func (q *Queue) SquashFrom(seq int64) {
 		if cut < 0 {
 			cut = 0
 		}
-		for l := int(cut); l < q.n; l++ {
-			q.resident -= int(q.nops[(q.head+l)&q.ringMask()])
-		}
 		if int64(q.n) > cut {
+			oldN := q.n
 			q.n = int(cut)
+			for l := int(cut); l < oldN; l++ {
+				s := (q.head + l) & q.ringMask()
+				q.resident -= int(q.nops[s])
+				q.nsleep -= (q.sleepWait[s] | q.sleepOld[s]).Count()
+				// Pop the squashed loads off their surviving stores'
+				// waiter lists (youngest-first, so they form a prefix).
+				for m := q.waitValid[s]; !m.Empty(); {
+					i := m.Min()
+					m.Clear(i)
+					w := q.waitFor[s*opStride+i]
+					ws, wop := q.opSlot(Key{Seq: w.Seq, LSID: w.LSID})
+					if ws < 0 {
+						continue
+					}
+					wf := ws*opStride + wop
+					for h := q.link[wf]; h >= 0 && q.slot(q.seqs[int(h)/opStride]) < 0; h = q.link[wf] {
+						q.link[wf] = q.link[h]
+					}
+				}
+			}
+			q.unexecSeq = min(q.unexecSeq, q.seqs[q.head]+cut)
 		}
 	}
-	q.filterKeys(&q.deferred, seq)
-	q.filterKeys(&q.certCand, seq)
+	q.active = filterEntries(q.active, seq)
+	q.woken = filterEntries(q.woken, seq)
 	q.dirty = true
 	q.certDirty = true
 }
 
-func (q *Queue) filterKeys(keys *[]Key, fromSeq int64) {
-	kept := (*keys)[:0]
-	for _, k := range *keys {
-		if k.Seq < fromSeq {
-			kept = append(kept, k)
+func filterEntries(es []parkEntry, fromSeq int64) []parkEntry {
+	kept := es[:0]
+	for _, e := range es {
+		if e.k.Seq < fromSeq {
+			kept = append(kept, e)
 		}
 	}
-	*keys = kept
+	return kept
 }
 
 // overlap reports whether [a, a+as) and [b, b+bs) intersect.
 func overlap(a uint64, as int, b uint64, bs int) bool {
 	return a < b+uint64(bs) && b < a+uint64(as)
 }
+
+// sigOf is the address signature of [addr, addr+size): the hashed bits of
+// the (at most two, for size <= 8) 8-byte words it touches.  Overlapping
+// accesses share a word, so their signatures intersect.
+func sigOf(addr uint64, size int) uint64 {
+	lo, hi := addr>>3, (addr+uint64(size)-1)>>3
+	return wordBit(lo) | wordBit(hi)
+}
+
+func wordBit(w uint64) uint64 { return 1 << ((w * 0x9E3779B97F4A7C15) >> 58) }

@@ -36,7 +36,7 @@ func TestForwarding(t *testing.T) {
 	m.Write(0x100, 7, 8)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{})
 
-	if vs := q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false); len(vs) != 0 {
+	if vs := q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false, nil); len(vs) != 0 {
 		t.Fatalf("unexpected violations %v", vs)
 	}
 	r := q.LoadTry(0, Key{0, 1}, 0x100, 0)
@@ -75,7 +75,7 @@ func TestViolationOnLateStore(t *testing.T) {
 		t.Fatalf("speculative value = %d, want 7 (memory)", r.Value)
 	}
 	// The older store now executes to the same address: violation.
-	vs := q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false)
+	vs := q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false, nil)
 	if len(vs) != 1 {
 		t.Fatalf("violations = %v", vs)
 	}
@@ -96,7 +96,7 @@ func TestNoViolationWhenValueUnchanged(t *testing.T) {
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{})
 	q.LoadTry(0, Key{0, 1}, 0x100, 0)
 	// Store writes the value the load already read: silent, no wave.
-	vs := q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false)
+	vs := q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false, nil)
 	if len(vs) != 0 {
 		t.Fatalf("violations = %v", vs)
 	}
@@ -110,7 +110,7 @@ func TestYoungerStoreDoesNotViolateOlderLoad(t *testing.T) {
 	if r.Value != 7 {
 		t.Fatal("load should read memory")
 	}
-	if vs := q.StoreUpdate(Key{0, 1}, 0x100, 42, 0, false, false); len(vs) != 0 {
+	if vs := q.StoreUpdate(Key{0, 1}, 0x100, 42, 0, false, false, nil); len(vs) != 0 {
 		t.Fatalf("younger store violated older load: %v", vs)
 	}
 }
@@ -119,7 +119,7 @@ func TestByteWiseReconstruction(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	m.Write(0x100, 0x1111111111111111, 8)
 	regBlock(q, 0, OpInfo{IsStore: true, Size: 1}, OpInfo{Size: 8})
-	q.StoreUpdate(Key{0, 0}, 0x102, 0xAB, 0, false, false)
+	q.StoreUpdate(Key{0, 0}, 0x102, 0xAB, 0, false, false, nil)
 	r := q.LoadTry(0, Key{0, 1}, 0x100, 0)
 	want := int64(0x1111111111AB1111)
 	if r.Value != want {
@@ -133,8 +133,8 @@ func TestByteWiseReconstruction(t *testing.T) {
 func TestYoungestStoreWinsForwarding(t *testing.T) {
 	q, _, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{IsStore: true}, OpInfo{})
-	q.StoreUpdate(Key{0, 0}, 0x100, 1, 0, false, false)
-	q.StoreUpdate(Key{0, 1}, 0x100, 2, 0, false, false)
+	q.StoreUpdate(Key{0, 0}, 0x100, 1, 0, false, false, nil)
+	q.StoreUpdate(Key{0, 1}, 0x100, 2, 0, false, false, nil)
 	r := q.LoadTry(0, Key{0, 2}, 0x100, 0)
 	if r.Value != 2 {
 		t.Fatalf("value = %d, want 2 (youngest older store)", r.Value)
@@ -145,13 +145,13 @@ func TestNullifyRestoresMemoryValue(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	m.Write(0x100, 7, 8)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{})
-	q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false)
+	q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false, nil)
 	r := q.LoadTry(0, Key{0, 1}, 0x100, 0)
 	if r.Value != 42 {
 		t.Fatal("load should forward 42")
 	}
 	// The store turns out to be predicated off: the load must revert.
-	vs := q.StoreNullify(Key{0, 0})
+	vs := q.StoreNullify(Key{0, 0}, nil)
 	if len(vs) != 1 || vs[0].Value != 7 {
 		t.Fatalf("violations = %+v", vs)
 	}
@@ -162,14 +162,14 @@ func TestStoreAddressChange(t *testing.T) {
 	m.Write(0x100, 7, 8)
 	m.Write(0x200, 9, 8)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{}, OpInfo{})
-	q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false)
+	q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false, nil)
 	rA := q.LoadTry(0, Key{0, 1}, 0x100, 0) // forwards 42
 	rB := q.LoadTry(0, Key{0, 2}, 0x200, 0) // reads memory 9
 	if rA.Value != 42 || rB.Value != 9 {
 		t.Fatalf("rA=%d rB=%d", rA.Value, rB.Value)
 	}
 	// The store re-executes to a different address: both loads change.
-	vs := q.StoreUpdate(Key{0, 0}, 0x200, 42, 0, false, false)
+	vs := q.StoreUpdate(Key{0, 0}, 0x200, 42, 0, false, false, nil)
 	if len(vs) != 2 {
 		t.Fatalf("violations = %+v", vs)
 	}
@@ -193,7 +193,7 @@ func TestConservativeDefersUntilStoresExecute(t *testing.T) {
 	if got := q.TakeReady(1, nil); got != nil {
 		t.Fatalf("load released early: %v", got)
 	}
-	q.StoreUpdate(Key{0, 0}, 0x300, 1, 0, false, false) // disjoint address, but now executed
+	q.StoreUpdate(Key{0, 0}, 0x300, 1, 0, false, false, nil) // disjoint address, but now executed
 	ready := q.TakeReady(2, nil)
 	if len(ready) != 1 || ready[0].Res.Value != 7 {
 		t.Fatalf("ready = %+v", ready)
@@ -230,7 +230,7 @@ func TestStoreSetPolicyLearns(t *testing.T) {
 	if r.Deferred {
 		t.Fatal("untrained store-set load deferred")
 	}
-	vs := q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false)
+	vs := q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false, nil)
 	if len(vs) != 1 {
 		t.Fatalf("violations = %v", vs)
 	}
@@ -244,7 +244,7 @@ func TestStoreSetPolicyLearns(t *testing.T) {
 	if !r.Deferred {
 		t.Fatal("trained store-set load did not defer")
 	}
-	q.StoreUpdate(Key{1, 0}, 0x100, 43, 0, false, false)
+	q.StoreUpdate(Key{1, 0}, 0x100, 43, 0, false, false, nil)
 	ready := q.TakeReady(1, nil)
 	if len(ready) != 1 || ready[0].Res.Value != 43 {
 		t.Fatalf("ready = %+v", ready)
@@ -273,7 +273,7 @@ func TestOraclePolicy(t *testing.T) {
 	if r2.Deferred || r2.Value != 8 {
 		t.Fatalf("independent load: %+v", r2)
 	}
-	q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false)
+	q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false, nil)
 	ready := q.TakeReady(1, nil)
 	if len(ready) != 1 || ready[0].Res.Value != 42 {
 		t.Fatalf("ready = %+v", ready)
@@ -292,7 +292,7 @@ func TestCertificationWaitsForOlderStores(t *testing.T) {
 	if cs := q.TakeCertifiable(nil); len(cs) != 0 {
 		t.Fatalf("certified before older store committed: %v", cs)
 	}
-	q.StoreUpdate(Key{0, 0}, 0x300, 1, 0, false, false)
+	q.StoreUpdate(Key{0, 0}, 0x300, 1, 0, false, false, nil)
 	if cs := q.TakeCertifiable(nil); len(cs) != 0 {
 		t.Fatalf("certified before older store committed: %v", cs)
 	}
@@ -317,7 +317,7 @@ func TestCertificationAcrossBlocks(t *testing.T) {
 	if cs := q.TakeCertifiable(nil); len(cs) != 0 {
 		t.Fatal("certified across uncommitted older block")
 	}
-	q.StoreUpdate(Key{0, 0}, 0x100, 5, 0, false, false)
+	q.StoreUpdate(Key{0, 0}, 0x100, 5, 0, false, false, nil)
 	// The violation correction happened; now commit the store.
 	q.StoreCommitted(Key{0, 0})
 	cs := q.TakeCertifiable(nil)
@@ -329,8 +329,8 @@ func TestCertificationAcrossBlocks(t *testing.T) {
 func TestDrainWritesMemoryInOrder(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{IsStore: true})
-	q.StoreUpdate(Key{0, 1}, 0x100, 2, 0, false, false) // younger executes first
-	q.StoreUpdate(Key{0, 0}, 0x100, 1, 0, false, false)
+	q.StoreUpdate(Key{0, 1}, 0x100, 2, 0, false, false, nil) // younger executes first
+	q.StoreUpdate(Key{0, 0}, 0x100, 1, 0, false, false, nil)
 	if n := q.Drain(0); n != 2 {
 		t.Fatalf("drained %d stores", n)
 	}
@@ -345,7 +345,7 @@ func TestDrainWritesMemoryInOrder(t *testing.T) {
 func TestDrainSkipsNullStores(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	regBlock(q, 0, OpInfo{IsStore: true})
-	q.StoreNullify(Key{0, 0})
+	q.StoreNullify(Key{0, 0}, nil)
 	if n := q.Drain(0); n != 0 {
 		t.Fatalf("drained %d stores, want 0", n)
 	}
@@ -366,7 +366,7 @@ func TestSquashRemovesEntries(t *testing.T) {
 		t.Fatalf("occupancy = %d, want 1", q.Occupancy())
 	}
 	// Messages for squashed blocks are ignored.
-	if vs := q.StoreUpdate(Key{2, 0}, 0x100, 9, 0, false, false); vs != nil {
+	if vs := q.StoreUpdate(Key{2, 0}, 0x100, 9, 0, false, false, nil); vs != nil {
 		t.Fatalf("stale store produced violations: %v", vs)
 	}
 	r := q.LoadTry(0, Key{1, 0}, 0x100, 0)
@@ -387,12 +387,12 @@ func TestChainedViolationThroughStoreData(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	m.Write(0x100, 7, 8)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{})
-	q.StoreUpdate(Key{0, 0}, 0x100, 10, 0, false, false)
+	q.StoreUpdate(Key{0, 0}, 0x100, 10, 0, false, false, nil)
 	r := q.LoadTry(0, Key{0, 1}, 0x100, 0)
 	if r.Value != 10 {
 		t.Fatal("load should forward 10")
 	}
-	vs := q.StoreUpdate(Key{0, 0}, 0x100, 20, 0, false, false) // re-execution with new data
+	vs := q.StoreUpdate(Key{0, 0}, 0x100, 20, 0, false, false, nil) // re-execution with new data
 	if len(vs) != 1 || vs[0].Value != 20 {
 		t.Fatalf("violations = %+v", vs)
 	}
@@ -409,7 +409,7 @@ func TestFlushGuardForcesConservativeReplay(t *testing.T) {
 	// First attempt: aggressive load issues, store violates it, the machine
 	// flushes and guards the load's dynamic key.
 	q.LoadTry(0, Key{0, 1}, 0x100, 0)
-	if vs := q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false); len(vs) != 1 {
+	if vs := q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false, nil); len(vs) != 1 {
 		t.Fatalf("violations = %v", vs)
 	}
 	q.GuardLoad(Key{0, 1})
@@ -422,7 +422,7 @@ func TestFlushGuardForcesConservativeReplay(t *testing.T) {
 	if !r.Deferred {
 		t.Fatal("guarded replay issued aggressively")
 	}
-	q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false)
+	q.StoreUpdate(Key{0, 0}, 0x100, 42, 0, false, false, nil)
 	ready := q.TakeReady(2, nil)
 	if len(ready) != 1 || ready[0].Res.Value != 42 {
 		t.Fatalf("ready = %+v", ready)
@@ -447,8 +447,8 @@ func TestPartialStoreCommitReleasesDisjointLoads(t *testing.T) {
 	q, m, _ := newQueue(t, core.IssueAggressive, nil, nil)
 	m.Write(0x100, 7, 8)
 	regBlock(q, 0, OpInfo{IsStore: true}, OpInfo{IsStore: true}, OpInfo{})
-	q.StoreUpdate(Key{0, 0}, 0x900, 1, 0, true, false)  // disjoint, addr final
-	q.StoreUpdate(Key{0, 1}, 0x100, 42, 0, true, false) // overlapping, data pending
+	q.StoreUpdate(Key{0, 0}, 0x900, 1, 0, true, false, nil)  // disjoint, addr final
+	q.StoreUpdate(Key{0, 1}, 0x100, 42, 0, true, false, nil) // overlapping, data pending
 	q.LoadTry(0, Key{0, 2}, 0x100, 0)
 	q.LoadInputsCommitted(Key{0, 2})
 	if cs := q.TakeCertifiable(nil); len(cs) != 0 {
@@ -456,7 +456,7 @@ func TestPartialStoreCommitReleasesDisjointLoads(t *testing.T) {
 	}
 	// Commit the overlapping store's data: only then may the load certify,
 	// without waiting for the disjoint store's data at all.
-	q.StoreUpdate(Key{0, 1}, 0x100, 42, 0, true, true)
+	q.StoreUpdate(Key{0, 1}, 0x100, 42, 0, true, true, nil)
 	cs := q.TakeCertifiable(nil)
 	if len(cs) != 1 || cs[0].Value != 42 {
 		t.Fatalf("certifiable = %+v", cs)

@@ -7,14 +7,15 @@ import (
 
 // StoreUpdate records a store execution (or re-execution under DSRE: the
 // same store arriving again with a possibly different address or data) and
-// returns the violations it exposes: younger issued loads whose
-// reconstructed value changed.  tag is the wave tag the store executed
-// under (zero when un-speculative); violations it exposes carry it as
-// StoreTag so forensics can chain wave depths.
-func (q *Queue) StoreUpdate(k Key, addr uint64, data int64, tag core.Tag, addrCom, dataCom bool) []Violation {
+// appends to vs the violations it exposes: younger issued loads whose
+// reconstructed value changed (pass a scratch buffer's vs[:0]; the result
+// must be consumed before the next call).  tag is the wave tag the store
+// executed under (zero when un-speculative); violations it exposes carry
+// it as StoreTag so forensics can chain wave depths.
+func (q *Queue) StoreUpdate(k Key, addr uint64, data int64, tag core.Tag, addrCom, dataCom bool, vs []Violation) []Violation {
 	s, op := q.opSlot(k)
 	if s < 0 || !q.stores[s].Test(op) {
-		return nil // stale message for a squashed block
+		return vs // stale message for a squashed block
 	}
 	f := s*opStride + op
 	first := !q.exec[s].Test(op)
@@ -25,6 +26,7 @@ func (q *Queue) StoreUpdate(k Key, addr uint64, data int64, tag core.Tag, addrCo
 	q.addr[f] = addr
 	q.data[f] = data
 	q.tag[f] = tag
+	q.storeSig[s] |= sigOf(addr, int(q.size[f]))
 	if addrCom {
 		q.addrCom[s].Set(op)
 	}
@@ -39,6 +41,7 @@ func (q *Queue) StoreUpdate(k Key, addr uint64, data int64, tag core.Tag, addrCo
 		if q.ss != nil {
 			q.ss.StoreDone(q.pc[f], predictor.DynRef{Seq: k.Seq, LSID: k.LSID})
 		}
+		q.storeExecuted(k, s, op)
 	}
 	q.dirty = true
 	q.certDirty = true
@@ -46,12 +49,12 @@ func (q *Queue) StoreUpdate(k Key, addr uint64, data int64, tag core.Tag, addrCo
 	// Affected range: where the store's bytes used to land plus where they
 	// land now.
 	size := int(q.size[f])
-	var vs []Violation
+	n := len(vs)
 	vs = q.recheckLoads(k, addr, size, vs)
 	if wasLive && (oldAddr != addr || oldSize != size) {
 		vs = q.recheckLoads(k, oldAddr, oldSize, vs)
 	}
-	if len(vs) == 0 && !first {
+	if len(vs) == n && !first {
 		q.Stats.SilentStoreHits++
 	}
 	return vs
@@ -59,11 +62,12 @@ func (q *Queue) StoreUpdate(k Key, addr uint64, data int64, tag core.Tag, addrCo
 
 // StoreNullify records that a predicated store resolved to not execute.
 // Loads that had forwarded from a previous (mis-speculated) execution of
-// this store must be re-checked.
-func (q *Queue) StoreNullify(k Key) []Violation {
+// this store must be re-checked; their violations are appended to vs, as
+// in StoreUpdate.
+func (q *Queue) StoreNullify(k Key, vs []Violation) []Violation {
 	s, op := q.opSlot(k)
 	if s < 0 || !q.stores[s].Test(op) {
-		return nil
+		return vs
 	}
 	f := s*opStride + op
 	first := !q.exec[s].Test(op)
@@ -76,20 +80,22 @@ func (q *Queue) StoreNullify(k Key) []Violation {
 		if q.ss != nil {
 			q.ss.StoreDone(q.pc[f], predictor.DynRef{Seq: k.Seq, LSID: k.LSID})
 		}
+		q.storeExecuted(k, s, op)
 	}
 	q.dirty = true
 	q.certDirty = true
 	if wasLive {
-		return q.recheckLoads(k, oldAddr, oldSize, nil)
+		return q.recheckLoads(k, oldAddr, oldSize, vs)
 	}
-	return nil
+	return vs
 }
 
 // recheckLoads re-reconstructs every younger issued load overlapping
 // [addr, addr+size) and emits violations for those whose value changed.
-// Candidate loads per block are one mask expression (issued, not a store,
-// younger than the store in its own block); the walk touches only set bits
-// in ascending (violation-report) order.
+// A block whose load-address signature misses the store's is skipped with
+// one AND; otherwise its candidate loads are one mask expression (issued,
+// not a store, younger than the store in its own block), walked set bit by
+// set bit in ascending (violation-report) order.
 func (q *Queue) recheckLoads(store Key, addr uint64, size int, vs []Violation) []Violation {
 	if size == 0 {
 		return vs
@@ -102,8 +108,12 @@ func (q *Queue) recheckLoads(store Key, addr uint64, size int, vs []Violation) [
 	if start < 0 {
 		start = 0
 	}
+	ssig := sigOf(addr, size)
 	for l := start; l < int64(q.n); l++ {
 		s := (q.head + int(l)) & q.ringMask()
+		if q.loadSig[s]&ssig == 0 {
+			continue
+		}
 		cands := q.issued[s] &^ q.stores[s]
 		if base+l == store.Seq {
 			cands = cands.Above(int(store.LSID))
@@ -147,8 +157,9 @@ func (q *Queue) recheckLoads(store Key, addr uint64, size int, vs []Violation) [
 // reconstruct assembles the value a load at key sees: for each byte, the
 // youngest older live store covering it wins; uncovered bytes come from
 // committed memory.  forwarded is the number of bytes supplied by stores.
-// The youngest-first walk iterates live-store masks high-bit-first, so
-// only executed, non-null stores are ever touched.
+// The youngest-first walk skips blocks whose store-address signature
+// misses the load's and iterates live-store masks high-bit-first, so only
+// executed, non-null stores are ever touched.
 func (q *Queue) reconstruct(k Key, addr uint64, size int) (val int64, forwarded int) {
 	var bytes [8]byte
 	var have [8]bool
@@ -162,9 +173,13 @@ func (q *Queue) reconstruct(k Key, addr uint64, size int) (val int64, forwarded 
 	if top >= int64(q.n) {
 		top = int64(q.n) - 1
 	}
+	lsig := sigOf(addr, size)
 	// Walk blocks youngest-to-oldest up to the load's block.
 	for l := top; l >= 0 && remaining > 0; l-- {
 		s := (q.head + int(l)) & q.ringMask()
+		if q.storeSig[s]&lsig == 0 {
+			continue
+		}
 		live := q.stores[s] & q.exec[s] &^ q.null[s]
 		if base+l == k.Seq {
 			live = live.Below(int(k.LSID))
@@ -262,12 +277,7 @@ func (q *Queue) Drain(seq int64) int {
 		}
 		writes++
 	}
-	// Map iteration order is irrelevant here: deletes are independent.
-	for k := range q.guard {
-		if k.Seq <= seq {
-			delete(q.guard, k)
-		}
-	}
+	q.guarded[s] = 0
 	q.resident -= int(q.nops[s])
 	q.head = (q.head + 1) & q.ringMask()
 	q.n--

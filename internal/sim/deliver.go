@@ -213,7 +213,7 @@ func (mc *Machine) handleStoreReq(m message) {
 		return
 	}
 	key := lsq.Key{Seq: m.seq, LSID: m.lsid}
-	vs := mc.q.StoreUpdate(key, m.addr, m.value, m.tag, m.addrCom, m.dataCom)
+	mc.violBuf = mc.q.StoreUpdate(key, m.addr, m.value, m.tag, m.addrCom, m.dataCom, mc.violBuf[:0])
 	if m.committed {
 		mc.q.StoreCommitted(key)
 		st := &b.insts[m.idx]
@@ -222,7 +222,7 @@ func (mc *Machine) handleStoreReq(m message) {
 			b.storesCommitted++
 		}
 	}
-	mc.handleViolations(vs)
+	mc.handleViolations(mc.violBuf)
 }
 
 // handleStoreNull processes a nullified predicated store at the LSQ.
@@ -233,7 +233,7 @@ func (mc *Machine) handleStoreNull(m message) {
 		return
 	}
 	key := lsq.Key{Seq: m.seq, LSID: m.lsid}
-	vs := mc.q.StoreNullify(key)
+	mc.violBuf = mc.q.StoreNullify(key, mc.violBuf[:0])
 	if m.committed {
 		mc.q.StoreCommitted(key)
 		st := &b.insts[m.idx]
@@ -242,7 +242,7 @@ func (mc *Machine) handleStoreNull(m message) {
 			b.storesCommitted++
 		}
 	}
-	mc.handleViolations(vs)
+	mc.handleViolations(mc.violBuf)
 }
 
 // broadcastLoadReply delivers a load's value from the LSQ tile directly to

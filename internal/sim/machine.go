@@ -152,10 +152,11 @@ type Machine struct {
 	ffSkipped int64
 
 	// Steady-state scratch, reused every cycle so the hot loop does not
-	// allocate: LSQ take buffers, the map-time OpInfo staging slice, and
-	// the retired-block pool.
+	// allocate: LSQ take and violation buffers, the map-time OpInfo
+	// staging slice, and the retired-block pool.
 	readyBuf  []lsq.ReadyLoad
 	certBuf   []lsq.CertifiedLoad
+	violBuf   []lsq.Violation
 	opsBuf    []lsq.OpInfo
 	blockPool []*blockInst
 
