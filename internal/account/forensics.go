@@ -1,10 +1,13 @@
 package account
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/predictor"
+	"repro/internal/stats"
 )
 
 // EventKind classifies one audited mis-speculation repair.
@@ -32,25 +35,25 @@ func (k EventKind) String() string {
 	return "?"
 }
 
-// dynLoad identifies one dynamic load instance (block sequence number +
-// load/store ID within the block), so repeated repairs of the same load can
-// be detected.
-type dynLoad struct {
-	seq  int64
-	lsid int
-}
-
 // event is one audited repair.  cost is the number of executions the repair
 // discarded (flush) or would have discarded under flush recovery
 // (squash-equivalent, for waves).
 type event struct {
-	kind       EventKind
+	tag        core.Tag
+	cost       int64
 	loadPC     predictor.PC
 	storePC    predictor.PC
-	tag        core.Tag
 	depth      int32
-	cost       int64
+	kind       EventKind
 	superseded bool
+}
+
+// repairRow is the supersede table's row for one frame: the block seq it
+// was last written for, and per LSID the newest event (plus one, so zero is
+// empty) that repaired that load of the block.
+type repairRow struct {
+	seq int64
+	ev  [isa.MaxMemOps]int32
 }
 
 // Forensics is the always-on violation audit log: one event per repaired
@@ -58,17 +61,41 @@ type event struct {
 // (a wave triggered by a store that itself ran under wave T has depth
 // depth(T)+1) and re-violation tracking (a later repair of the same dynamic
 // load marks the earlier event superseded — its re-executions were wasted).
+//
+// Every structure is O(1) per repair and grows without copying:
+//   - events is an append-only stats.Log;
+//   - depth is a stats.Log indexed by tag − base, since wave tags come
+//     densely from the machine's TagSource (tags before base, allocated
+//     before accounting began, have depth zero, as do tags never recorded);
+//   - last, the supersede table, has one row per frame, tagged with the
+//     block seq and holding one entry per LSID: block seq always occupies
+//     frame seq mod frames, a flush refetches a seq into that same frame
+//     (so a repeated repair of the refetched load finds its entry), and a
+//     younger seq takes the frame only once the older one has committed and
+//     can never be repaired again, so its row is simply reset.  It is
+//     allocated on the first repair, so a violation-free run allocates
+//     nothing.
 type Forensics struct {
-	events []event
-	last   map[dynLoad]int32
-	depth  map[core.Tag]int32
+	events stats.Log[event]
+	depth  stats.Log[int32]
+	base   core.Tag
+	frames int
+	last   []repairRow
 }
 
-func NewForensics() *Forensics {
-	return &Forensics{
-		last:  make(map[dynLoad]int32),
-		depth: make(map[core.Tag]int32),
+// NewForensics returns an empty audit log for a machine with the given
+// frame count whose next wave tag is base (at least 1: tag zero, the
+// first-issue wave, never carries a depth).
+func NewForensics(frames int, base core.Tag) *Forensics {
+	return &Forensics{base: base, frames: frames}
+}
+
+// depthOf returns the recorded depth of wave tag (zero if unrecorded).
+func (f *Forensics) depthOf(tag core.Tag) int32 {
+	if tag < f.base || int(tag-f.base) >= f.depth.Len() {
+		return 0
 	}
+	return *f.depth.At(int(tag - f.base))
 }
 
 // Record logs one repair.  seq/lsid name the dynamic load, loadPC/storePC
@@ -77,23 +104,29 @@ func NewForensics() *Forensics {
 // store ran un-speculatively), and cost the discarded or squash-equivalent
 // execution count.
 func (f *Forensics) Record(kind EventKind, seq int64, lsid int, loadPC, storePC predictor.PC, tag, parent core.Tag, cost int64) {
-	d := f.depth[parent] + 1
-	if tag != 0 {
-		f.depth[tag] = d
+	d := f.depthOf(parent) + 1
+	if tag >= f.base {
+		*f.depth.Extend(int(tag - f.base)) = d
 	}
-	dl := dynLoad{seq: seq, lsid: lsid}
-	if prev, ok := f.last[dl]; ok {
-		f.events[prev].superseded = true
+	if f.last == nil {
+		f.last = make([]repairRow, f.frames)
 	}
-	f.last[dl] = int32(len(f.events))
-	f.events = append(f.events, event{
+	row := &f.last[seq%int64(f.frames)]
+	if row.seq != seq {
+		*row = repairRow{seq: seq}
+	}
+	if prev := row.ev[lsid]; prev != 0 {
+		f.events.At(int(prev - 1)).superseded = true
+	}
+	row.ev[lsid] = int32(f.events.Len()) + 1
+	f.events.Append(event{
 		kind: kind, loadPC: loadPC, storePC: storePC,
 		tag: tag, depth: d, cost: cost,
 	})
 }
 
 // Events returns the number of audited repairs.
-func (f *Forensics) Events() int { return len(f.events) }
+func (f *Forensics) Events() int { return f.events.Len() }
 
 // StoreCount is one conflicting-store entry of a load profile.
 type StoreCount struct {
@@ -137,33 +170,38 @@ type Summary struct {
 // re-executions attributed to a wave tag (core.WaveStats.WaveSize);
 // totalReexecs is the machine's total re-execution counter, so the summary
 // can expose the re-executions no audited wave accounts for.  top caps the
-// Loads list and each TopStores list (<= 0 means unlimited).
+// Loads list and each TopStores list (<= 0 means unlimited).  Aggregation
+// runs on integer PCs; only the profiles and stores kept are named.
 func (f *Forensics) Summarize(waveSize func(core.Tag) int64, totalReexecs int64, top int) Summary {
-	s := Summary{Events: int64(len(f.events))}
-	// Aggregate in first-seen order: the event log is a slice, so the
+	s := Summary{Events: int64(f.events.Len())}
+	// Aggregate in first-seen order: the event log is ordered, so the
 	// profile order is deterministic without sorting keys.
+	type storeAgg struct {
+		pc    predictor.PC
+		count int64
+	}
+	type loadAgg struct {
+		pc     predictor.PC
+		p      LoadProfile
+		stores []storeAgg
+	}
 	idx := make(map[predictor.PC]int)
-	var profiles []*LoadProfile
-	var stores [][]StoreCount // parallel to profiles
-	for i := range f.events {
-		ev := &f.events[i]
-		pi, ok := idx[ev.loadPC]
+	var loads []loadAgg
+	for i := 0; i < f.events.Len(); i++ {
+		ev := f.events.At(i)
+		li, ok := idx[ev.loadPC]
 		if !ok {
-			pi = len(profiles)
-			idx[ev.loadPC] = pi
-			profiles = append(profiles, &LoadProfile{LoadPC: ev.loadPC.String()})
-			stores = append(stores, nil)
+			li = len(loads)
+			idx[ev.loadPC] = li
+			loads = append(loads, loadAgg{pc: ev.loadPC})
 		}
-		p := profiles[pi]
+		l := &loads[li]
+		p := &l.p
 		p.Events++
 		p.SquashCost += ev.cost
 		s.SquashCost += ev.cost
-		if int64(ev.depth) > p.MaxDepth {
-			p.MaxDepth = int64(ev.depth)
-		}
-		if int64(ev.depth) > s.MaxDepth {
-			s.MaxDepth = int64(ev.depth)
-		}
+		p.MaxDepth = max(p.MaxDepth, int64(ev.depth))
+		s.MaxDepth = max(s.MaxDepth, int64(ev.depth))
 		var re int64
 		switch ev.kind {
 		case EventFlush:
@@ -185,40 +223,41 @@ func (f *Forensics) Summarize(waveSize func(core.Tag) int64, totalReexecs int64,
 			p.Wasted += re
 		}
 		if ev.storePC != 0 {
-			spc := ev.storePC.String()
-			sc := stores[pi]
-			found := false
-			for j := range sc {
-				if sc[j].StorePC == spc {
-					sc[j].Count++
-					found = true
-					break
-				}
+			j := slices.IndexFunc(l.stores, func(sa storeAgg) bool { return sa.pc == ev.storePC })
+			if j < 0 {
+				l.stores = append(l.stores, storeAgg{pc: ev.storePC})
+				j = len(l.stores) - 1
 			}
-			if !found {
-				sc = append(sc, StoreCount{StorePC: spc, Count: 1})
-			}
-			stores[pi] = sc
+			l.stores[j].count++
 		}
 	}
 	s.UnattributedReexecs = totalReexecs - s.WaveReexecs
-	// Hottest loads first; ties keep first-seen (dynamic) order.
-	ordered := make([]LoadProfile, len(profiles))
-	for i, p := range profiles {
-		sc := stores[i]
-		sort.SliceStable(sc, func(a, b int) bool { return sc[a].Count > sc[b].Count })
-		if top > 0 && len(sc) > top {
-			sc = sc[:top]
+	// Hottest first; stable sorts keep ties in first-seen (dynamic) order.
+	hotter := func(a, b int64) int { return cmp.Compare(b, a) }
+	slices.SortStableFunc(loads, func(a, b loadAgg) int { return hotter(a.p.Events, b.p.Events) })
+	if top > 0 && len(loads) > top {
+		loads = loads[:top]
+	}
+	for i := range loads {
+		l := &loads[i]
+		l.p.LoadPC = l.pc.String()
+		if len(l.stores) == 0 {
+			continue
 		}
-		p.TopStores = sc
-		ordered[i] = *p
+		slices.SortStableFunc(l.stores, func(a, b storeAgg) int { return hotter(a.count, b.count) })
+		if top > 0 && len(l.stores) > top {
+			l.stores = l.stores[:top]
+		}
+		l.p.TopStores = make([]StoreCount, len(l.stores))
+		for j, sa := range l.stores {
+			l.p.TopStores[j] = StoreCount{StorePC: sa.pc.String(), Count: sa.count}
+		}
 	}
-	sort.SliceStable(ordered, func(a, b int) bool { return ordered[a].Events > ordered[b].Events })
-	if top > 0 && len(ordered) > top {
-		ordered = ordered[:top]
-	}
-	if len(ordered) > 0 {
-		s.Loads = ordered
+	if len(loads) > 0 {
+		s.Loads = make([]LoadProfile, len(loads))
+		for i := range loads {
+			s.Loads[i] = loads[i].p
+		}
 	}
 	return s
 }

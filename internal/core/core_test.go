@@ -186,9 +186,6 @@ func TestWaveStats(t *testing.T) {
 	if w.Waves != 2 || w.Reexecs != 3 {
 		t.Errorf("waves=%d reexecs=%d", w.Waves, w.Reexecs)
 	}
-	if got := w.MeanSize(); got != 1.5 {
-		t.Errorf("mean = %v, want 1.5", got)
-	}
 	h := w.SizeHist()
 	if h.N != 2 || h.Max != 2 {
 		t.Errorf("hist = %v", h)

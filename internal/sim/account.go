@@ -62,7 +62,7 @@ func (mc *Machine) acctCounters() acctCounters {
 func (mc *Machine) EnableAccounting() {
 	mc.acct = acctState{
 		flight:     *account.NewFlightRecorder(account.DefaultFlightDepth),
-		forensics:  account.NewForensics(),
+		forensics:  account.NewForensics(mc.cfg.Frames, mc.tags.Last()+1),
 		startCycle: mc.cycle,
 		waveUntil:  -1,
 		prev:       mc.acctCounters(),
@@ -145,16 +145,12 @@ func (mc *Machine) attributeCycle(a *acctState, cur, prev acctCounters) account.
 // squashEquivCost is what a flush recovery at fromSeq would discard right
 // now: every execution already fired in blocks at or younger than fromSeq.
 // DSRE forensics records it per violation so the wave-vs-flush trade is
-// measurable per static load.
+// measurable per static load.  The window is in sequence order and each
+// block keeps its execution total, so this is O(window blocks).
 func (mc *Machine) squashEquivCost(fromSeq int64) int64 {
 	var n int64
-	for _, b := range mc.window {
-		if b.seq < fromSeq {
-			continue
-		}
-		for i := range b.insts {
-			n += b.insts[i].fired
-		}
+	for i := len(mc.window) - 1; i >= 0 && mc.window[i].seq >= fromSeq; i-- {
+		n += mc.window[i].firedExecs
 	}
 	return n
 }

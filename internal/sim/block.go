@@ -135,6 +135,12 @@ type blockInst struct {
 	numStores       int
 	predictedNext   int   // what fetch predicted would follow (for stats)
 	mapCycle        int64 // cycle the block was mapped, for residency spans
+
+	// firedExecs sums insts[i].fired and firedInsts counts the instructions
+	// with fired > 0, both kept where fired advances, so squash, commit and
+	// the squash-equivalent cost read a block's totals in O(1).
+	firedExecs int64
+	firedInsts int64
 }
 
 // outputsCommitted reports whether the block's architectural outputs are

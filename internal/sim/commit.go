@@ -48,9 +48,7 @@ func (mc *Machine) squashFrom(fromSeq int64, resumeID int) {
 		mc.frameBusy[b.frame] = false
 		mc.frameGens[b.frame]++
 		mc.stats.SquashedBlocks++
-		for j := range b.insts {
-			mc.stats.SquashedExecs += b.insts[j].fired
-		}
+		mc.stats.SquashedExecs += b.firedExecs
 		mc.reclaimReadyBits(b)
 		// Recycle the block and nil the window tail so retired blocks are
 		// unreachable.  A handler that squashed its own block may still hold
@@ -116,11 +114,7 @@ func (mc *Machine) stepCommit() bool {
 	mc.window = mc.window[:m]
 	mc.committed++
 	mc.lastCommitCycle = mc.cycle
-	for i := range b.insts {
-		if b.insts[i].fired > 0 {
-			mc.stats.CommittedExecs++
-		}
-	}
+	mc.stats.CommittedExecs += b.firedInsts
 	mc.releaseBlock(b)
 
 	if target == isa.HaltTarget {

@@ -179,6 +179,10 @@ func (mc *Machine) completeExec(j aluJob) {
 	}
 
 	st.fired++
+	b.firedExecs++
+	if st.fired == 1 {
+		b.firedInsts++
+	}
 	mc.stats.Executed++
 	kind := trace.KindExec
 	if st.fired > 1 {

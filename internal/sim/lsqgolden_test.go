@@ -32,11 +32,7 @@ const lsqGoldenSize = 1024
 func TestLSQStatsGolden(t *testing.T) {
 	got := map[string]string{}
 	for _, kernel := range []string{"histogram", "bank", "hashmap"} {
-		w := workload.MustBuild(kernel, workload.Params{Size: lsqGoldenSize})
-		golden, err := emu.Run(w.Program, &w.Regs, w.Mem, emu.Options{CollectOracle: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		golden := goldenRun(t, kernel, lsqGoldenSize)
 		for _, policy := range []core.IssuePolicy{core.IssueAggressive, core.IssueConservative, core.IssueStoreSet, core.IssueOracle} {
 			for _, recovery := range []core.RecoveryScheme{core.RecoverFlush, core.RecoverDSRE} {
 				name := fmt.Sprintf("%s/%d/%s+%s/f64", kernel, lsqGoldenSize, policy, recovery)
@@ -44,28 +40,55 @@ func TestLSQStatsGolden(t *testing.T) {
 				cfg.Frames = 64
 				cfg.Policy = policy
 				cfg.Recovery = recovery
-				rw := workload.MustBuild(kernel, workload.Params{Size: lsqGoldenSize})
-				mc, err := New(cfg, rw.Program, &rw.Regs, rw.Mem, golden.Oracle, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := mc.Run()
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if r.Regs != golden.Regs || !r.Mem.Equal(golden.Mem) {
-					t.Fatalf("%s: architectural divergence from the emulator", name)
-				}
-				b, err := json.Marshal(&r.Stats)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sum := sha256.Sum256(b)
-				got[name] = hex.EncodeToString(sum[:])
+				got[name], _ = statsDigest(t, name, kernel, lsqGoldenSize, cfg, golden)
 			}
 		}
 	}
-	if *updateLSQGolden {
+	checkStatsGolden(t, lsqGoldenPath, "-update-lsq-golden", *updateLSQGolden, got)
+}
+
+// goldenRun is the emulator's reference result for kernel at size, with
+// the oracle table the oracle issue policy needs.
+func goldenRun(t *testing.T, kernel string, size int) *emu.Result {
+	t.Helper()
+	w := workload.MustBuild(kernel, workload.Params{Size: size})
+	golden, err := emu.Run(w.Program, &w.Regs, w.Mem, emu.Options{CollectOracle: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return golden
+}
+
+// statsDigest runs kernel at size under cfg, checks the architectural
+// result against the emulator, and returns the SHA-256 of the run's
+// sim.Stats as JSON, with the Stats themselves.
+func statsDigest(t *testing.T, name, kernel string, size int, cfg Config, golden *emu.Result) (string, *Stats) {
+	t.Helper()
+	w := workload.MustBuild(kernel, workload.Params{Size: size})
+	mc, err := New(cfg, w.Program, &w.Regs, w.Mem, golden.Oracle, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := mc.Run()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if r.Regs != golden.Regs || !r.Mem.Equal(golden.Mem) {
+		t.Fatalf("%s: architectural divergence from the emulator", name)
+	}
+	b, err := json.Marshal(&r.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), &r.Stats
+}
+
+// checkStatsGolden compares run digests with the golden file at path, or
+// rewrites the file when update (the test's updateFlag) is set.
+func checkStatsGolden(t *testing.T, path, updateFlag string, update bool, got map[string]string) {
+	t.Helper()
+	if update {
 		b, err := json.MarshalIndent(struct {
 			Version string            `json:"sim_version"`
 			Stats   map[string]string `json:"stats_sha256"`
@@ -73,15 +96,15 @@ func TestLSQStatsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(lsqGoldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(lsqGoldenPath, append(b, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	raw, err := os.ReadFile(lsqGoldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +116,7 @@ func TestLSQStatsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want.Version != Version {
-		t.Fatalf("%s was recorded for %s, the simulator is %s: regenerate it with -update-lsq-golden after a declared model change", lsqGoldenPath, want.Version, Version)
+		t.Fatalf("%s was recorded for %s, the simulator is %s: regenerate it with %s after a declared model change", path, want.Version, Version, updateFlag)
 	}
 	if len(want.Stats) != len(got) {
 		t.Errorf("golden has %d runs, test made %d", len(want.Stats), len(got))

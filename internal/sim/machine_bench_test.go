@@ -9,19 +9,16 @@ import (
 	"repro/internal/workload"
 )
 
-// benchMachine is the shared body of the throughput benchmarks: one kernel,
-// event-driven or dense reference ticking, reporting simulated megacycles
-// per wall second (the headline CI tracks) alongside the per-run counters.
-func benchMachine(b *testing.B, kernel string, slowTick bool) {
+// benchMachine is the shared body of the throughput benchmarks: one kernel
+// under cfg, reporting simulated megacycles per wall second (the headline
+// CI tracks) alongside the per-run counters and allocations.
+func benchMachine(b *testing.B, kernel string, cfg Config) {
 	w := workload.MustBuild(kernel, workload.Params{Size: 1024})
 	er, _ := emu.Run(w.Program, &w.Regs, w.Mem, emu.Options{})
 	var cycles int64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig()
-		cfg.Policy = core.IssueAggressive
-		cfg.Recovery = core.RecoverDSRE
-		cfg.SlowTick = slowTick
 		mc, err := New(cfg, w.Program, &w.Regs, w.Mem, nil, nil)
 		if err != nil {
 			b.Fatal(err)
@@ -39,11 +36,20 @@ func benchMachine(b *testing.B, kernel string, slowTick bool) {
 	b.ReportMetric(float64(er.Insts), "sim-insts/run")
 }
 
+// benchConfig is the default machine under the given issue policy and
+// recovery scheme.
+func benchConfig(policy core.IssuePolicy, recovery core.RecoveryScheme) Config {
+	cfg := DefaultConfig()
+	cfg.Policy = policy
+	cfg.Recovery = recovery
+	return cfg
+}
+
 // BenchmarkMachine measures whole-machine simulation throughput in
 // simulated cycles per wall second on the event-driven core.
 func BenchmarkMachine(b *testing.B) {
 	for _, k := range []string{"histogram", "vecsum"} {
-		b.Run(k, func(b *testing.B) { benchMachine(b, k, false) })
+		b.Run(k, func(b *testing.B) { benchMachine(b, k, benchConfig(core.IssueAggressive, core.RecoverDSRE)) })
 	}
 }
 
@@ -52,7 +58,22 @@ func BenchmarkMachine(b *testing.B) {
 // event-driven speedup is a single benchstat (or mcycles/s ratio) away.
 func BenchmarkMachineDense(b *testing.B) {
 	for _, k := range []string{"histogram", "vecsum"} {
-		b.Run(k, func(b *testing.B) { benchMachine(b, k, true) })
+		cfg := benchConfig(core.IssueAggressive, core.RecoverDSRE)
+		cfg.SlowTick = true
+		b.Run(k, func(b *testing.B) { benchMachine(b, k, cfg) })
+	}
+}
+
+// BenchmarkMachineRecovery measures a recovery storm: stencil's loop-
+// carried store→load pair violates about every other cycle under
+// aggressive issue, so wave accounting, forensics and the squash-
+// equivalent cost run on nearly every cycle (dsre), or every violation
+// flushes the 8-frame window (aggressive+flush).
+func BenchmarkMachineRecovery(b *testing.B) {
+	for _, recovery := range []core.RecoveryScheme{core.RecoverDSRE, core.RecoverFlush} {
+		cfg := benchConfig(core.IssueAggressive, recovery)
+		cfg.Frames = 8
+		b.Run("stencil/"+recovery.String(), func(b *testing.B) { benchMachine(b, "stencil", cfg) })
 	}
 }
 
