@@ -49,10 +49,8 @@ func main() {
 	addr := flag.String("addr", ":8177", "daemon listen address")
 	cache := flag.String("cache", ".dsre-cache", "content-addressed result cache directory")
 	localWorkers := flag.Int("local-workers", runtime.GOMAXPROCS(0), "in-process execution workers (0 = fleet-only daemon)")
-	batch := flag.Int("batch", 8, "max jobs per local engine batch")
-	batchLinger := flag.Duration("batch-linger", 25*time.Millisecond, "wait after first queued job so a burst coalesces into one batch")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "fleet lease heartbeat deadline")
-	maxAttempts := flag.Int("max-attempts", 3, "lease grants per job before it fails terminally")
+	maxAttempts := flag.Int("max-attempts", 3, "runs per job (lease grants) before it fails terminally")
 	quotaRate := flag.Float64("quota-rate", 0, "per-tenant submitted-specs-per-second quota (0 = unlimited)")
 	quotaBurst := flag.Float64("quota-burst", 0, "per-tenant quota burst (0 = one second of rate)")
 	manifestDir := flag.String("manifest-dir", "", "write one sweep manifest per sweep here on drain (empty disables)")
@@ -63,7 +61,6 @@ func main() {
 
 	// Execution flags shared by both modes.
 	timeout := flag.Duration("timeout", 0, "per-job wall-clock budget (0 = none)")
-	retries := flag.Int("retries", 0, "engine-level extra attempts per failed job")
 
 	// Worker-mode flags.
 	worker := flag.Bool("worker", false, "run as a fleet worker instead of a daemon")
@@ -77,24 +74,22 @@ func main() {
 	}
 
 	if *worker {
-		runWorker(*join, *id, *jobs, *poll, *timeout, *retries)
+		runWorker(*join, *id, *jobs, *poll, *timeout)
 		return
 	}
 	runDaemon(daemonConfig{
 		addr: *addr, cache: *cache, localWorkers: *localWorkers,
-		batch: *batch, batchLinger: *batchLinger,
 		leaseTTL: *leaseTTL, maxAttempts: *maxAttempts,
 		quotaRate: *quotaRate, quotaBurst: *quotaBurst,
 		manifestDir: *manifestDir, eventsPath: *eventsPath, spanTrace: *spanTrace,
 		slowRequest:  *slowRequest,
-		drainTimeout: *drainTimeout, timeout: *timeout, retries: *retries,
+		drainTimeout: *drainTimeout, timeout: *timeout,
 	})
 }
 
 type daemonConfig struct {
 	addr, cache           string
-	localWorkers, batch   int
-	batchLinger           time.Duration
+	localWorkers          int
 	leaseTTL              time.Duration
 	maxAttempts           int
 	quotaRate, quotaBurst float64
@@ -102,7 +97,6 @@ type daemonConfig struct {
 	eventsPath, spanTrace string
 	slowRequest           time.Duration
 	drainTimeout, timeout time.Duration
-	retries               int
 }
 
 func runDaemon(c daemonConfig) {
@@ -138,15 +132,13 @@ func runDaemon(c daemonConfig) {
 	var engine *sweep.Engine
 	if c.localWorkers > 0 {
 		engine = sweep.New(sweep.Options{
-			Workers: c.localWorkers, Timeout: c.timeout, Retries: c.retries,
-			Store: store, Obs: engObs,
+			Workers: c.localWorkers, Timeout: c.timeout, Store: store, Obs: engObs,
 		})
 	}
 
 	srv, err := serve.New(serve.Config{
 		Store: store, Obs: srvObs, Engine: engine, EngineObs: engObs,
 		LeaseTTL: c.leaseTTL, MaxAttempts: c.maxAttempts,
-		BatchMax: c.batch, BatchLinger: c.batchLinger,
 		QuotaRate: c.quotaRate, QuotaBurst: c.quotaBurst,
 		ManifestDir: c.manifestDir,
 		Sink:        sink, SlowRequest: c.slowRequest,
@@ -199,7 +191,7 @@ func runDaemon(c daemonConfig) {
 	fmt.Fprintf(os.Stderr, "dsre-serve: drained (%d queued jobs abandoned)\n", abandoned)
 }
 
-func runWorker(join, id string, jobs int, poll, timeout time.Duration, retries int) {
+func runWorker(join, id string, jobs int, poll, timeout time.Duration) {
 	if join == "" {
 		fatalf("-worker needs -join http://daemon:port")
 	}
@@ -214,10 +206,8 @@ func runWorker(join, id string, jobs int, poll, timeout time.Duration, retries i
 	// attempts, upload) and ships them to the daemon with each completed
 	// job for cross-process trace stitching.
 	wobs := obs.NewSweepObs(time.Now(), nil, obs.NewSpanLog())
-	engine := sweep.New(sweep.Options{Workers: jobs, Timeout: timeout, Retries: retries, Obs: wobs})
-	w, err := serve.NewWorker(serve.WorkerOptions{
-		BaseURL: join, ID: id, Engine: engine, Concurrency: jobs, Poll: poll,
-	})
+	engine := sweep.New(sweep.Options{Workers: jobs, Timeout: timeout, Obs: wobs})
+	w, err := serve.NewWorker(serve.WorkerOptions{BaseURL: join, ID: id, Engine: engine, Poll: poll})
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -285,7 +285,7 @@ func (o *ServeObs) UploadDuplicate(peer, hash, name, lease string, now time.Time
 }
 
 // JobDone closes one unique job: peer is the completing worker ("local"
-// for daemon-batched jobs), lease its still-valid lease (empty when the
+// for daemon-local slots), lease its still-valid lease (empty when the
 // lease already expired — a late upload that still won first-write-wins),
 // status mirrors the job result, cacheHit marks a store replay, and
 // upload marks a fleet upload versus a local completion.

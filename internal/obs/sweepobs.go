@@ -191,7 +191,8 @@ func (g *Grid) End(ok, failed, cacheHits int, now time.Time) {
 
 // JobObs tracks one unique job from pickup to completion.  It is owned by
 // a single worker goroutine: Mark appends to the local span chain without
-// locking; the completion path takes the observer's lock.
+// locking; the completion path takes the observer's lock.  gs is nil for a
+// job opened outside any grid (SweepObs.StartJob).
 type JobObs struct {
 	o          *SweepObs
 	gs         *gridState
@@ -206,24 +207,52 @@ type JobObs struct {
 // from the grid's feed start to now; copies is how many specs dedup onto
 // this execution.
 func (g *Grid) StartJob(worker int, name, hash string, copies int, now time.Time) *JobObs {
-	o, gs := g.o, g.gs
-	j := &JobObs{o: o, gs: gs, worker: worker, name: name, hash: hash, copies: copies, lastNS: gs.startNS}
+	return g.o.startJob(g.gs, worker, name, hash, copies, g.gs.startNS, now)
+}
+
+// StartJob opens one job outside any grid: a single execution its caller
+// leased on its own (a dsre-serve slot or fleet worker).  It adds no
+// per-call state to the observer, so a long-lived process can run jobs
+// through it indefinitely; its queue-wait span is empty, because the
+// waiting happened in the caller's queue.
+func (o *SweepObs) StartJob(worker int, name, hash string, now time.Time) *JobObs {
+	return o.startJob(nil, worker, name, hash, 1, o.rel(now), now)
+}
+
+func (o *SweepObs) startJob(gs *gridState, worker int, name, hash string, copies int, sinceNS int64, now time.Time) *JobObs {
+	j := &JobObs{o: o, gs: gs, worker: worker, name: name, hash: hash, copies: copies, lastNS: sinceNS}
 	j.Mark(PhaseQueueWait, now)
 
 	o.mu.Lock()
-	gs.queued -= copies
-	gs.runs++
-	if worker >= 0 && worker < len(o.workers) {
+	if gs != nil {
+		gs.queued -= copies
+		gs.runs++
+	}
+	if worker >= 0 {
+		for len(o.workers) <= worker {
+			o.workers = append(o.workers, workerState{})
+		}
+		o.gWorkers.Set(int64(len(o.workers)))
 		o.workers[worker] = workerState{busy: true, job: name, sinceNS: o.rel(now)}
 	}
 	o.mu.Unlock()
 
-	o.gQueued.Add(int64(-copies))
+	if gs != nil {
+		o.gQueued.Add(int64(-copies))
+		o.hQueueWait.Observe(float64(j.phases[0].EndNS-j.phases[0].StartNS) / float64(time.Second))
+	}
 	o.gRunning.Add(1)
 	o.gBusy.Add(1)
-	o.hQueueWait.Observe(float64(j.phases[0].EndNS-j.phases[0].StartNS) / float64(time.Second))
-	o.emit(Event{Kind: EventJobStart, Grid: gs.name, Job: hash, Name: name, Worker: worker, Copies: copies}, now)
+	o.emit(Event{Kind: EventJobStart, Grid: j.grid(), Job: hash, Name: name, Worker: worker, Copies: copies}, now)
 	return j
+}
+
+// grid names the job's grid, "" outside one.
+func (j *JobObs) grid() string {
+	if j.gs == nil {
+		return ""
+	}
+	return j.gs.name
 }
 
 // Mark closes the current phase at now: the span runs from the end of the
@@ -241,7 +270,7 @@ func (j *JobObs) Mark(phase Phase, now time.Time) {
 func (j *JobObs) Retry(attempt int, cause error, now time.Time) {
 	j.Mark(PhaseRun, now)
 	j.o.mRetries.Inc()
-	e := Event{Kind: EventRetry, Grid: j.gs.name, Job: j.hash, Name: j.name, Worker: j.worker, Attempt: attempt}
+	e := Event{Kind: EventRetry, Grid: j.grid(), Job: j.hash, Name: j.name, Worker: j.worker, Attempt: attempt}
 	if cause != nil {
 		e.Error = firstLine(cause.Error())
 	}
@@ -251,7 +280,7 @@ func (j *JobObs) Retry(attempt int, cause error, now time.Time) {
 // Panic records an attempt that panicked.
 func (j *JobObs) Panic(attempt int, cause error, now time.Time) {
 	j.o.mPanics.Inc()
-	e := Event{Kind: EventPanic, Grid: j.gs.name, Job: j.hash, Name: j.name, Worker: j.worker, Attempt: attempt}
+	e := Event{Kind: EventPanic, Grid: j.grid(), Job: j.hash, Name: j.name, Worker: j.worker, Attempt: attempt}
 	if cause != nil {
 		e.Error = firstLine(cause.Error())
 	}
@@ -266,7 +295,7 @@ func (j *JobObs) StoreWrite(ok bool, now time.Time) {
 	} else {
 		j.o.mStoreFails.Inc()
 	}
-	e := Event{Kind: EventStoreWrite, Grid: j.gs.name, Job: j.hash, Name: j.name, Worker: j.worker}
+	e := Event{Kind: EventStoreWrite, Grid: j.grid(), Job: j.hash, Name: j.name, Worker: j.worker}
 	if !ok {
 		e.Status = "failed"
 	}
@@ -290,12 +319,14 @@ func (j *JobObs) Done(status string, cacheHit bool, attempts int, elapsedMS int6
 	}
 
 	o.mu.Lock()
-	gs.runs--
-	gs.done += j.copies
-	if ok {
-		gs.cached += hits
-	} else {
-		gs.failed += j.copies
+	if gs != nil {
+		gs.runs--
+		gs.done += j.copies
+		if ok {
+			gs.cached += hits
+		} else {
+			gs.failed += j.copies
+		}
 	}
 	if j.worker >= 0 && j.worker < len(o.workers) {
 		o.workers[j.worker] = workerState{}
@@ -313,7 +344,7 @@ func (j *JobObs) Done(status string, cacheHit bool, attempts int, elapsedMS int6
 	}
 	if hits > 0 {
 		o.mHits.Add(int64(hits))
-		o.emit(Event{Kind: EventCacheHit, Grid: gs.name, Job: j.hash, Name: j.name,
+		o.emit(Event{Kind: EventCacheHit, Grid: j.grid(), Job: j.hash, Name: j.name,
 			Worker: j.worker, CacheHit: cacheHit, Copies: hits}, now)
 	}
 	if ok && !cacheHit {
@@ -321,12 +352,12 @@ func (j *JobObs) Done(status string, cacheHit bool, attempts int, elapsedMS int6
 	}
 	o.gRunning.Add(-1)
 	o.gBusy.Add(-1)
-	o.emit(Event{Kind: EventJobDone, Grid: gs.name, Job: j.hash, Name: j.name, Worker: j.worker,
+	o.emit(Event{Kind: EventJobDone, Grid: j.grid(), Job: j.hash, Name: j.name, Worker: j.worker,
 		Attempt: attempts, Status: status, CacheHit: cacheHit, Copies: j.copies, ElapsedMS: elapsedMS}, now)
 
 	if o.spans != nil {
 		o.spans.Add(JobSpans{
-			Name: j.name, Hash: j.hash, Grid: gs.name, Worker: j.worker,
+			Name: j.name, Hash: j.hash, Grid: j.grid(), Worker: j.worker,
 			Status: status, CacheHit: cacheHit, Phases: j.phases,
 		})
 	}

@@ -6,7 +6,7 @@
 //
 // The daemon owns the queue of unique jobs (content-addressed by spec
 // hash, so concurrent submissions of the same point dedup naturally), a
-// local batch dispatcher feeding the in-process sweep.Engine, and the
+// local slots running leased jobs on the in-process sweep.Engine, and the
 // lease protocol remote workers speak: lease → heartbeat → complete, with
 // heartbeat-expiry requeue and first-write-wins upload dedup.  Results
 // land in a sweep.Store; RemoteStore re-exports that store to sweep CLIs
@@ -42,7 +42,7 @@ const (
 type JobState uint8
 
 const (
-	// JobQueued waits for a lease (local dispatcher or fleet worker).
+	// JobQueued waits for a lease (local slot or fleet worker).
 	JobQueued JobState = iota
 	// JobLeased is held by exactly one worker under a live lease.
 	JobLeased

@@ -24,7 +24,7 @@ type job struct {
 	leaseID  string // current lease when leased
 	peer     string // holder of the current lease
 	expiry   time.Time
-	noExpiry bool // local leases never expire (the dispatcher can't crash apart from the queue)
+	noExpiry bool // local leases never expire (a local slot can't crash apart from the queue)
 
 	trace tracing.TraceID // trace of the sweep that enqueued the job
 	span  tracing.SpanID  // span of the current lease attempt
@@ -47,8 +47,8 @@ type sweepRun struct {
 	uniqueNew int // unique jobs this submit enqueued
 }
 
-// LeasedJob is one lease grant handed to a worker (or to the local
-// dispatcher).  Trace/Span are the attempt's trace-context IDs.
+// LeasedJob is one lease grant handed to a worker (or to a local slot).
+// Trace/Span are the attempt's trace-context IDs.
 type LeasedJob struct {
 	Lease   string
 	Hash    string
@@ -87,8 +87,9 @@ type Queue struct {
 	order    []string // sweep submission order
 	sweepSeq int
 	leaseSeq int
+	closed   bool // local slots stop leasing (drain)
 
-	signal chan struct{} // 1-buffered wake for the local dispatcher
+	ready *sync.Cond // on mu: signalled once per job entering the fifo
 }
 
 // NewQueue builds a queue.  o is required; leaseTTL bounds fleet-lease
@@ -113,25 +114,23 @@ func NewQueue(o *obs.ServeObs, leaseTTL time.Duration, maxAttempts int, minter *
 		jobs:        map[string]*job{},
 		leases:      map[string]*job{},
 		sweeps:      map[string]*sweepRun{},
-		signal:      make(chan struct{}, 1),
 	}
+	q.ready = sync.NewCond(&q.mu)
 	return q
 }
 
 func (q *Queue) lock()   { q.mu.Lock() }
 func (q *Queue) unlock() { q.mu.Unlock() }
 
-// wake nudges the local dispatcher; non-blocking so it is safe under the
-// queue lock.
-func (q *Queue) wake() {
-	select {
-	case q.signal <- struct{}{}:
-	default:
-	}
+// enqueueLocked appends j to the fifo and wakes one idle local slot: each
+// queued job wakes its own slot, so no idle slot sleeps past queued work.
+func (q *Queue) enqueueLocked(j *job, now time.Time) {
+	j.state = JobQueued
+	j.enqueuedNS = q.obs.Rel(now)
+	q.fifo = append(q.fifo, j)
+	q.queued++
+	q.ready.Signal()
 }
-
-// Wake is the dispatcher's wait channel: one token per enqueue edge.
-func (q *Queue) Wake() <-chan struct{} { return q.signal }
 
 // Submit registers one sweep: specs with their precomputed content hashes
 // (the server canonicalises, validates and hashes before locking), and
@@ -176,13 +175,9 @@ func (q *Queue) Submit(tenant string, specs []sweep.JobSpec, hashes []string, hi
 					Spec: j.spec, Hash: h, Status: sweep.StatusOK, CacheHit: true,
 				}
 			} else {
-				j.state = JobQueued
-				j.enqueuedNS = q.obs.Rel(now)
-				q.fifo = append(q.fifo, j)
-				q.queued++
+				q.enqueueLocked(j, now)
 				uniqueNew++
 				q.obs.JobQueued()
-				q.wake()
 			}
 		}
 		j.sweeps = append(j.sweeps, s)
@@ -215,20 +210,29 @@ func (q *Queue) Lease(peer string, noExpiry bool, now time.Time) (LeasedJob, boo
 	return q.leaseLocked(peer, noExpiry, now)
 }
 
-// LeaseBatch grants up to max queued jobs to peer in one call (the local
-// dispatcher's batching path).
-func (q *Queue) LeaseBatch(peer string, max int, noExpiry bool, now time.Time) []LeasedJob {
+// LeaseLocal blocks until a job is queued and grants it to a local slot
+// under a lease that never expires, stamped with now() at the grant.  It
+// returns false once StopLocal has been called.
+func (q *Queue) LeaseLocal(now func() time.Time) (LeasedJob, bool) {
 	q.lock()
 	defer q.unlock()
-	var batch []LeasedJob
-	for len(batch) < max {
-		lj, ok := q.leaseLocked(peer, noExpiry, now)
-		if !ok {
-			break
+	// Terminates: StopLocal sets closed and broadcasts.
+	for !q.closed {
+		if lj, ok := q.leaseLocked("local", true, now()); ok {
+			return lj, true
 		}
-		batch = append(batch, lj)
+		q.ready.Wait()
 	}
-	return batch
+	return LeasedJob{}, false
+}
+
+// StopLocal makes every LeaseLocal caller, waiting or future, return
+// false (the drain path).
+func (q *Queue) StopLocal() {
+	q.lock()
+	defer q.unlock()
+	q.closed = true
+	q.ready.Broadcast()
 }
 
 func (q *Queue) leaseLocked(peer string, noExpiry bool, now time.Time) (LeasedJob, bool) {
@@ -333,12 +337,8 @@ func (q *Queue) Complete(leaseID, peer, hash string, res sweep.JobResult, upload
 		return false, false, j.state, nil
 	}
 	if j.attempts < q.maxAttempts {
-		j.state = JobQueued
-		j.enqueuedNS = q.obs.Rel(now)
-		q.fifo = append(q.fifo, j)
-		q.queued++
+		q.enqueueLocked(j, now)
 		q.obs.JobRequeued(peer, j.hash, j.name, obsLease, j.attempts, now)
-		q.wake()
 		return true, false, j.state, nil
 	}
 	j.state = JobFailed
@@ -350,27 +350,6 @@ func (q *Queue) Complete(leaseID, peer, hash string, res sweep.JobResult, upload
 	q.obs.JobDone(peer, j.hash, j.name, obsLease, sweep.StatusFailed, false, upload, res.Elapsed, now)
 	q.noteTerminal(j, now)
 	return true, false, j.state, nil
-}
-
-// Release returns a leased-but-never-run job to the queue without
-// charging the attempt — the drain path for local batch jobs the engine
-// abandoned ("not run") when its context was cancelled.
-func (q *Queue) Release(leaseID string, now time.Time) {
-	q.lock()
-	defer q.unlock()
-	j, ok := q.leases[leaseID]
-	if !ok || j.state != JobLeased {
-		return
-	}
-	delete(q.leases, leaseID)
-	j.leaseID = ""
-	j.attempts--
-	j.state = JobQueued
-	j.enqueuedNS = q.obs.Rel(now)
-	q.fifo = append(q.fifo, j)
-	q.queued++
-	q.obs.JobRequeued(j.peer, j.hash, j.name, leaseID, j.attempts, now)
-	q.wake()
 }
 
 // ExpireLeases requeues (or terminally fails) every fleet lease whose
@@ -401,12 +380,8 @@ func (q *Queue) ExpireLeases(now time.Time, force bool) int {
 			continue
 		}
 		if j.attempts < q.maxAttempts {
-			j.state = JobQueued
-			j.enqueuedNS = q.obs.Rel(now)
-			q.fifo = append(q.fifo, j)
-			q.queued++
+			q.enqueueLocked(j, now)
 			q.obs.JobRequeued(j.peer, j.hash, j.name, "", j.attempts, now)
-			q.wake()
 			continue
 		}
 		j.state = JobFailed

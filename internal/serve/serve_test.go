@@ -94,6 +94,13 @@ type daemon struct {
 // engine driven by fakeRunner(runnerDelay); 0 runs fleet-only.
 func startDaemon(t *testing.T, cfg serve.Config, localWorkers int, runnerDelay time.Duration) *daemon {
 	t.Helper()
+	return startDaemonRunner(t, cfg, localWorkers, fakeRunner(runnerDelay))
+}
+
+// startDaemonRunner is startDaemon with the local engine driven by runner
+// (nil selects the real simulator).
+func startDaemonRunner(t *testing.T, cfg serve.Config, localWorkers int, runner sweep.Runner) *daemon {
+	t.Helper()
 	store, err := sweep.OpenStore(filepath.Join(t.TempDir(), "cache"))
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +115,7 @@ func startDaemon(t *testing.T, cfg serve.Config, localWorkers int, runnerDelay t
 	if localWorkers > 0 {
 		engObs := obs.NewSweepObsInto(reg, start, sink, spans)
 		cfg.Engine = sweep.New(sweep.Options{
-			Workers: localWorkers, Store: store, Obs: engObs, Runner: fakeRunner(runnerDelay),
+			Workers: localWorkers, Store: store, Obs: engObs, Runner: runner,
 		})
 		cfg.EngineObs = engObs
 	}
@@ -213,7 +220,7 @@ func testGrid() *sweep.Grid {
 // submit, poll to completion, fetch manifest and per-artifact reports, and
 // pin the served report bytes to what the runner produces directly.
 func TestDaemonEndToEndLocal(t *testing.T) {
-	d := startDaemon(t, serve.Config{BatchLinger: -1}, 2, 0)
+	d := startDaemon(t, serve.Config{}, 2, 0)
 
 	v := d.submit(t, "e2e", testGrid())
 	if v.Total != 2 || v.Unique != 2 {
@@ -450,7 +457,7 @@ func TestFleetWorkerCrashRequeue(t *testing.T) {
 // tenant that exhausts its burst gets 429 + Retry-After while another
 // tenant still submits.
 func TestQuotaRejectsOverBudgetTenant(t *testing.T) {
-	d := startDaemon(t, serve.Config{BatchLinger: -1, QuotaRate: 0.001, QuotaBurst: 2}, 1, 0)
+	d := startDaemon(t, serve.Config{QuotaRate: 0.001, QuotaBurst: 2}, 1, 0)
 
 	if v := d.submit(t, "greedy", testGrid()); v.Total != 2 {
 		t.Fatalf("first submit: %+v", v)
@@ -476,7 +483,7 @@ func TestQuotaRejectsOverBudgetTenant(t *testing.T) {
 // event.
 func TestDrainFlushesManifests(t *testing.T) {
 	dir := t.TempDir()
-	d := startDaemon(t, serve.Config{BatchLinger: -1, ManifestDir: dir}, 1, 0)
+	d := startDaemon(t, serve.Config{ManifestDir: dir}, 1, 0)
 
 	v := d.submit(t, "drain", testGrid())
 	d.waitFinished(t, v.Sweep, 5*time.Second)
@@ -674,7 +681,7 @@ func TestRemoteStoreIntegrity(t *testing.T) {
 // uploads a sealed record, Get replays it, and an engine wired to the
 // remote store resolves the point as a cache hit.
 func TestRemoteStoreAgainstDaemon(t *testing.T) {
-	d := startDaemon(t, serve.Config{BatchLinger: -1}, 1, 0)
+	d := startDaemon(t, serve.Config{}, 1, 0)
 
 	spec := sweep.JobSpec{Workload: "vecsum", Scheme: "dsre", Size: 32}
 	canon, _ := spec.Canonical()
@@ -709,7 +716,7 @@ func TestRemoteStoreAgainstDaemon(t *testing.T) {
 // TestArtifactPutRejections pins upload validation: wrong address, missing
 // payload and version skew are refused with typed statuses.
 func TestArtifactPutRejections(t *testing.T) {
-	d := startDaemon(t, serve.Config{BatchLinger: -1}, 1, 0)
+	d := startDaemon(t, serve.Config{}, 1, 0)
 
 	spec := sweep.JobSpec{Workload: "vecsum", Scheme: "dsre", Size: 32}
 	canon, _ := spec.Canonical()
@@ -1068,7 +1075,7 @@ func TestWorkerCrashTraceStitching(t *testing.T) {
 // TestErrorEnvelope pins the JSON error contract: typed codes, the
 // dsre-serve-error/v1 schema, and the caller's trace ID echoed back.
 func TestErrorEnvelope(t *testing.T) {
-	d := startDaemon(t, serve.Config{BatchLinger: -1}, 1, 0)
+	d := startDaemon(t, serve.Config{}, 1, 0)
 
 	m := tracing.NewMinter(11)
 	tc := tracing.Context{Trace: m.NextTrace(), Span: m.NextSpan()}
@@ -1122,7 +1129,7 @@ func TestErrorEnvelope(t *testing.T) {
 // TestHealthz pins the JSON health document: schema, simulator and Go
 // runtime versions, start time, and the draining status flip.
 func TestHealthz(t *testing.T) {
-	d := startDaemon(t, serve.Config{BatchLinger: -1}, 1, 0)
+	d := startDaemon(t, serve.Config{}, 1, 0)
 
 	var h serve.HealthView
 	if code := d.get(t, "/healthz", &h); code != http.StatusOK {

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,21 +40,18 @@ type Config struct {
 	// Obs is the daemon observer (required; share its registry with the
 	// engine's SweepObs for a single /metrics page).
 	Obs *obs.ServeObs
-	// Engine executes jobs locally; nil runs a fleet-only daemon (every
-	// job waits for a remote worker).
+	// Engine executes jobs locally, one leased job per engine worker
+	// slot; nil runs a fleet-only daemon (every job waits for a remote
+	// worker).
 	Engine *sweep.Engine
 	// EngineObs, when set, nests the engine's live progress in /progress.
 	EngineObs *obs.SweepObs
 
 	// LeaseTTL bounds fleet-lease heartbeat gaps (default 10s).
 	LeaseTTL time.Duration
-	// MaxAttempts bounds lease grants per job (default 3).
+	// MaxAttempts bounds lease grants per job (default 3).  It is the
+	// daemon's one retry budget: a failed run goes back to the queue.
 	MaxAttempts int
-	// BatchMax bounds the local dispatcher's batch size (default 8).
-	BatchMax int
-	// BatchLinger is how long the dispatcher waits after the first queued
-	// job for more to coalesce into one engine.Run (default 25ms).
-	BatchLinger time.Duration
 
 	// QuotaRate/QuotaBurst give each tenant a token bucket over submitted
 	// specs; zero rate disables quotas.
@@ -80,7 +76,7 @@ type Config struct {
 	Now func() time.Time
 }
 
-// Server is the dsre-serve daemon core: queue, quotas, local dispatcher,
+// Server is the dsre-serve daemon core: queue, quotas, local slots,
 // lease janitor and the dsre-serve/v1 HTTP surface.  Build with New, wire
 // Handler into an http.Server, call Start, and Drain on shutdown.
 type Server struct {
@@ -92,7 +88,6 @@ type Server struct {
 	startTime time.Time
 
 	draining  atomic.Bool
-	drainCh   chan struct{} // closed when drain begins: dispatcher stops leasing
 	stopCh    chan struct{} // closed when the janitor should exit
 	drainOnce sync.Once
 	abandoned int
@@ -100,9 +95,9 @@ type Server struct {
 	runCtx     context.Context // local engine runs; hard-cancelled at the drain deadline
 	hardCancel context.CancelFunc
 
-	dispatchDone chan struct{}
-	janitorDone  chan struct{}
-	started      atomic.Bool
+	slots       sync.WaitGroup // local slot goroutines
+	janitorDone chan struct{}
+	started     atomic.Bool
 }
 
 // New validates the config and builds the daemon core (Start launches its
@@ -117,29 +112,19 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 8
-	}
-	if cfg.BatchLinger < 0 {
-		cfg.BatchLinger = 0
-	} else if cfg.BatchLinger == 0 {
-		cfg.BatchLinger = 25 * time.Millisecond
-	}
 	seed := cfg.TraceSeed
 	if seed == 0 {
 		seed = uint64(cfg.Now().UnixNano())
 	}
 	minter := tracing.NewMinter(seed)
 	s := &Server{
-		cfg:          cfg,
-		q:            NewQueue(cfg.Obs, cfg.LeaseTTL, cfg.MaxAttempts, minter),
-		quotas:       NewQuotas(cfg.QuotaRate, cfg.QuotaBurst),
-		red:          tracing.NewRED(cfg.Obs.Reg, cfg.Sink, minter, cfg.Now, cfg.SlowRequest),
-		startTime:    cfg.Now(),
-		drainCh:      make(chan struct{}),
-		stopCh:       make(chan struct{}),
-		dispatchDone: make(chan struct{}),
-		janitorDone:  make(chan struct{}),
+		cfg:         cfg,
+		q:           NewQueue(cfg.Obs, cfg.LeaseTTL, cfg.MaxAttempts, minter),
+		quotas:      NewQuotas(cfg.QuotaRate, cfg.QuotaBurst),
+		red:         tracing.NewRED(cfg.Obs.Reg, cfg.Sink, minter, cfg.Now, cfg.SlowRequest),
+		startTime:   cfg.Now(),
+		stopCh:      make(chan struct{}),
+		janitorDone: make(chan struct{}),
 	}
 	s.runCtx, s.hardCancel = context.WithCancel(context.Background())
 	s.mux = s.routes()
@@ -151,17 +136,18 @@ func (s *Server) Queue() *Queue { return s.q }
 
 func (s *Server) now() time.Time { return s.cfg.Now() }
 
-// Start launches the lease janitor and (when an engine is configured) the
-// local batch dispatcher.
+// Start launches the lease janitor and, when an engine is configured, one
+// local slot per engine worker.
 func (s *Server) Start() {
 	if !s.started.CompareAndSwap(false, true) {
 		return
 	}
 	go s.janitor()
 	if s.cfg.Engine != nil {
-		go s.dispatch()
-	} else {
-		close(s.dispatchDone)
+		for i := 0; i < s.cfg.Engine.Workers(); i++ {
+			s.slots.Add(1)
+			go s.slot(i)
+		}
 	}
 }
 
@@ -184,81 +170,45 @@ func (s *Server) janitor() {
 	}
 }
 
-// dispatch is the local execution loop: wait for queued work, linger
-// briefly so bursts coalesce, lease a batch under non-expiring leases and
-// run it through the engine.  On drain it finishes the batch in flight,
-// releases anything the engine abandoned, and exits.
-func (s *Server) dispatch() {
-	defer close(s.dispatchDone)
+// slot is one local execution lane: lease one job under a non-expiring
+// lease, run it through the engine as that worker, complete it, repeat.
+// A slot never holds a job it is not running, so drain only has to wait
+// for the jobs in flight.  A run the drain deadline cancels fails, and
+// Complete requeues it like any failed run.
+func (s *Server) slot(worker int) {
+	defer s.slots.Done()
 	for {
-		if !s.waitWork() {
+		lj, ok := s.q.LeaseLocal(s.now)
+		if !ok {
 			return
 		}
-		if s.cfg.BatchLinger > 0 {
-			t := time.NewTimer(s.cfg.BatchLinger)
-			select {
-			case <-t.C:
-			case <-s.drainCh:
-				t.Stop()
-				return
-			}
-		}
-		batch := s.q.LeaseBatch("local", s.cfg.BatchMax, true, s.now())
-		if len(batch) == 0 {
-			continue
-		}
-		specs := make([]sweep.JobSpec, len(batch))
-		for i := range batch {
-			specs[i] = batch[i].Spec
-		}
-		sum, _ := s.cfg.Engine.Run(s.runCtx, specs)
-		for i := range sum.Jobs {
-			r := sum.Jobs[i]
-			if r.Status == sweep.StatusFailed && s.runCtx.Err() != nil && strings.HasPrefix(r.Error, "not run:") {
-				// The drain deadline cancelled the run before this job
-				// started; put it back uncharged.
-				s.q.Release(batch[i].Lease, s.now())
-				continue
-			}
-			s.q.Complete(batch[i].Lease, "local", batch[i].Hash, r, false, s.now())
-		}
-	}
-}
-
-// waitWork blocks until the queue has leasable work; false means drain.
-func (s *Server) waitWork() bool {
-	for {
-		if s.draining.Load() {
-			return false
-		}
-		if s.q.QueuedLen() > 0 {
-			return true
-		}
-		select {
-		case <-s.q.Wake():
-		case <-s.drainCh:
-			return false
-		}
+		r := s.cfg.Engine.Exec(s.runCtx, lj.Spec, worker)
+		s.q.Complete(lj.Lease, "local", lj.Hash, r, false, s.now())
 	}
 }
 
 // Drain gracefully shuts the daemon down: refuse new submits and leases,
-// let in-flight work finish (local batch and outstanding fleet leases) up
+// let in-flight work finish (local slots and outstanding fleet leases) up
 // to timeout, force-expire whatever remains, flush every sweep's manifest
 // and emit the structured drain event.  It returns how many queued jobs
 // were abandoned.  Idempotent; later calls return the first result.
 func (s *Server) Drain(reason string, timeout time.Duration) int {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
-		close(s.drainCh)
+		s.q.StopLocal()
 		deadline := time.Now().Add(timeout)
 
-		// Local batch in flight: give it the full window, then cancel hard.
+		// Local jobs in flight: give them the full window, then cancel hard.
+		slotsDone := make(chan struct{})
+		go func() {
+			s.slots.Wait()
+			close(slotsDone)
+		}()
 		select {
-		case <-s.dispatchDone:
+		case <-slotsDone:
 		case <-time.After(time.Until(deadline)):
 			s.hardCancel()
-			<-s.dispatchDone
+			<-slotsDone
 		}
 
 		// Outstanding fleet leases: wait for uploads, then force-expire.

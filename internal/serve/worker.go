@@ -24,13 +24,12 @@ type WorkerOptions struct {
 	ID string
 	// Engine executes leased specs (required; build it with Store nil —
 	// results travel back through the complete upload, and the daemon owns
-	// the store).  When its observer keeps a span log, the worker takes
-	// each job's chains out of it after the run, stamps them with the
-	// lease's propagated trace/span IDs, and ships them to the daemon
+	// the store).  The worker runs one lease slot per engine worker
+	// (Engine.Workers).  When its observer keeps a span log, the worker
+	// takes each job's chains out of it after the run, stamps them with
+	// the lease's propagated trace/span IDs, and ships them to the daemon
 	// inside the complete upload.
 	Engine *sweep.Engine
-	// Concurrency is how many jobs this worker runs at once (default 1).
-	Concurrency int
 	// Poll is the idle sleep between empty lease polls (default 200ms).
 	Poll time.Duration
 	// Client overrides the HTTP client (tests).
@@ -62,9 +61,6 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 	if o.ID == "" {
 		return nil, fmt.Errorf("serve: worker needs an ID")
 	}
-	if o.Concurrency <= 0 {
-		o.Concurrency = 1
-	}
 	if o.Poll <= 0 {
 		o.Poll = 200 * time.Millisecond
 	}
@@ -76,12 +72,13 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 }
 
 // Run pulls and executes jobs until ctx cancels (clean exit) or the
-// crash-injection hook fires (its error propagates).  Concurrency slots
-// run as goroutines inside this call.
+// crash-injection hook fires (its error propagates).  One slot per engine
+// worker runs as a goroutine inside this call.
 func (w *Worker) Run(ctx context.Context) error {
 	var wg sync.WaitGroup
-	errs := make(chan error, w.o.Concurrency)
-	for i := 0; i < w.o.Concurrency; i++ {
+	slots := w.o.Engine.Workers()
+	errs := make(chan error, slots)
+	for i := 0; i < slots; i++ {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
@@ -132,12 +129,17 @@ func (w *Worker) loop(ctx context.Context, slot int) error {
 				return herr
 			}
 		}
-		w.execute(ctx, lease)
+		w.execute(ctx, lease, slot)
 	}
 }
 
-// execute runs one leased job and uploads the outcome.
-func (w *Worker) execute(ctx context.Context, lease *LeaseResponse) {
+// execute runs one leased job as engine worker slot and uploads the
+// outcome.  A worker already shutting down runs nothing and uploads
+// nothing: the lease expires and the daemon requeues the job.
+func (w *Worker) execute(ctx context.Context, lease *LeaseResponse, slot int) {
+	if ctx.Err() != nil {
+		return
+	}
 	hbStop := make(chan struct{})
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
@@ -146,16 +148,9 @@ func (w *Worker) execute(ctx context.Context, lease *LeaseResponse) {
 		w.heartbeats(ctx, lease, hbStop)
 	}()
 
-	sum, _ := w.o.Engine.Run(ctx, []sweep.JobSpec{lease.Spec})
-	r := sum.Jobs[0]
+	r := w.o.Engine.Exec(ctx, lease.Spec, slot)
 	close(hbStop)
 	hbWG.Wait()
-
-	if ctx.Err() != nil && r.Status == sweep.StatusFailed && strings.HasPrefix(r.Error, "not run:") {
-		// Worker is shutting down before the job ran; let the lease expire
-		// so the daemon requeues without burning the attempt on us.
-		return
-	}
 
 	req := CompleteRequest{
 		Schema: CompleteSchema, Worker: w.o.ID, Lease: lease.Lease, Hash: lease.Hash,

@@ -92,9 +92,9 @@ func (s *Summary) FirstError() string {
 }
 
 // Engine executes job specs on a bounded worker pool.  It may be used for
-// several Run calls; the workload-preparation memo persists across them,
-// so successive experiments over the same kernels share program builds and
-// golden-model runs.
+// several Run and Exec calls; the workload-preparation memo persists
+// across them, so successive experiments over the same kernels share
+// program builds and golden-model runs.
 type Engine struct {
 	opts Options
 
@@ -207,6 +207,36 @@ func (e *Engine) simulate(ctx context.Context, spec JobSpec) (*telemetry.Report,
 	return rep, nil
 }
 
+// Workers is the engine's slot count: Options.Workers, or GOMAXPROCS
+// when that is not positive.  Run caps its pool at it; callers that lease
+// jobs one at a time run this many Exec slots.
+func (e *Engine) Workers() int {
+	if e.opts.Workers > 0 {
+		return e.opts.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// Exec runs one spec on the caller's goroutine as slot worker: hash and
+// validate it, probe the store, run it with the engine's retries and
+// timeout, and close its observer record.  It is the entry point for
+// callers that schedule jobs themselves (a dsre-serve slot, a fleet
+// worker), so it keeps no per-call state: no grid, no dedup, no progress
+// lines.  An invalid spec fails without running.
+func (e *Engine) Exec(ctx context.Context, spec JobSpec, worker int) JobResult {
+	h, err := spec.Hash()
+	if err == nil {
+		err = spec.Validate()
+	}
+	if err != nil {
+		return JobResult{Spec: spec, Status: StatusFailed, Error: err.Error()}
+	}
+	jo := e.opts.Obs.StartJob(worker, spec.Name(), h, time.Now())
+	r := e.executeJob(ctx, spec, h, jo)
+	jo.Done(r.Status, r.CacheHit, r.Attempts, r.Elapsed, time.Now())
+	return r
+}
+
 // Run executes the specs and returns their results in spec order.  A
 // failing, panicking or timed-out job yields a failed JobResult with the
 // spec attached — never a dead sweep; the only error Run itself returns is
@@ -242,10 +272,7 @@ func (e *Engine) Run(ctx context.Context, specs []JobSpec) (*Summary, error) {
 		g.indices = append(g.indices, i)
 	}
 
-	workers := e.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := e.Workers()
 	if workers > len(order) && len(order) > 0 {
 		workers = len(order)
 	}

@@ -316,6 +316,17 @@ func TestEngineInvalidSpecFailsWithoutRunning(t *testing.T) {
 	if !strings.Contains(sum.Jobs[1].Error, "Frames") {
 		t.Errorf("invalid spec error: %q", sum.Jobs[1].Error)
 	}
+
+	// Exec validates too: its specs can arrive over HTTP.
+	r := eng.Exec(context.Background(), JobSpec{Workload: "vecsum", Frames: 1}, 0)
+	if r.Status != StatusFailed || r.Attempts != 0 || !strings.Contains(r.Error, "Frames") {
+		t.Errorf("Exec of an invalid spec: %+v", r)
+	}
+	n := 0
+	calls.Range(func(_, _ any) bool { n++; return true })
+	if n != 1 {
+		t.Errorf("runner ran %d distinct specs, want only the valid one", n)
+	}
 }
 
 func TestEngineRetries(t *testing.T) {
